@@ -25,11 +25,12 @@ __all__ = [
     "sample_realization",
     "endpoint_realizations",
     "derive_trial_seed",
+    "endpoint_ints",
+    "uniform_sampler",
 ]
 
 # 53-bit grid for uniform draws: exact rationals, float-dense coverage.
 _GRID_BITS = 53
-_GRID = 1 << _GRID_BITS
 
 
 @dataclass(frozen=True)
@@ -128,20 +129,51 @@ def sample_realization(
         return _endpoint_realization(spec, k, seed, t_cap)
     if mode != "uniform":
         raise ValueError(f"unknown mode {mode!r}")
-    hi_t = _upper_drift(spec, t_cap)
+    td, t_step = _grid_steps(_upper_drift(spec, t_cap))
+    zd, z_step = _grid_steps(spec.xi)
     rng = random.Random(seed)
-
-    def draw(hi: Fraction) -> Fraction:
-        u = Fraction(rng.getrandbits(_GRID_BITS), _GRID)
-        return 1 + (hi - 1) * u
-
-    t = draw(hi_t)
-    z = tuple(draw(spec.xi) for _ in range(k))
+    t = Fraction(td + t_step * rng.getrandbits(_GRID_BITS), td)
+    z = tuple(Fraction(zd + z_step * rng.getrandbits(_GRID_BITS), zd) for _ in range(k))
     return ChannelRealization(t, z)
 
 
+def _grid_steps(hi: Fraction) -> tuple[int, int]:
+    """(den, step): grid point u/2^53 on [1, hi] is the factor (den + step*u)/den."""
+    return hi.denominator << _GRID_BITS, hi.numerator - hi.denominator
+
+
+def uniform_sampler(spec: ChannelSpec, k: int, t_cap=None):
+    """Integer form of uniform sampling, for round-trip drivers.
+
+    Returns draw(rng) -> (d, c): the realization that sample_realization
+    would draw from the same generator state, as integers, so that a word x
+    is observed as Y_i = c_i * x_i / d.  It makes the same generator calls.
+    """
+    td, t_step = _grid_steps(_upper_drift(spec, t_cap))
+    zd, z_step = _grid_steps(spec.xi)
+    d = td * zd
+
+    def draw(rng: random.Random) -> tuple[int, list[int]]:
+        t = td + t_step * rng.getrandbits(_GRID_BITS)
+        return d, [t * (zd + z_step * rng.getrandbits(_GRID_BITS)) for _ in range(k)]
+
+    return draw
+
+
+def endpoint_ints(spec: ChannelSpec, k: int, t_cap=None) -> list[tuple[int, list[int]]]:
+    """The corner realizations in index order, each as (d, c) for Y_i = c_i * x_i / d."""
+    hi_t = _upper_drift(spec, t_cap)
+    tn, td = hi_t.numerator, hi_t.denominator
+    zn, zd = spec.xi.numerator, spec.xi.denominator
+    return [
+        (td * zd, [(tn if index & 1 else td) * (zn if index >> i & 1 else zd)
+                   for i in range(1, k + 1)])
+        for index in range(1 << (k + 1))
+    ]
+
+
 def _endpoint_realization(spec, k, index, t_cap) -> ChannelRealization:
-    hi_t = spec.gamma if not spec.unbounded_drift else _upper_drift(spec, t_cap)
+    hi_t = _upper_drift(spec, t_cap)
     index %= 1 << (k + 1)
     t = hi_t if index & 1 else Fraction(1)
     z = tuple(spec.xi if index >> i & 1 else Fraction(1) for i in range(1, k + 1))

@@ -9,7 +9,9 @@ codebook and an in-spec observation exactly one codeword survives.
 The fast decoder follows the structured per-regime procedures instead: ratio
 lookup plus a multiplier window for the drift-chain codes, and independent
 per-run windows for the no-drift codes.  Both decoders are exact; float
-observations widen every comparison by a relative tolerance.
+observations widen every comparison by a relative tolerance.  An exact
+observation without jitter (xi = 1) is a multiple of the sent codeword, so
+both decoders look its candidates up by primitive vector (x / gcd(x)).
 
 Out-of-spec signals raise NoCodewordError -- a receiver-side convention, not
 a channel-model claim; ambiguity always raises, never tie-breaks.
@@ -22,7 +24,7 @@ import weakref
 from fractions import Fraction
 from typing import Optional
 
-from .core import ChannelSpec, Codebook, Runs, gcd_of
+from .core import ChannelSpec, Codebook, Runs
 from .channel import ObservedSignal
 
 __all__ = [
@@ -81,59 +83,10 @@ def _bisect_right_frac(nums, dens, tn, td):
     return lo
 
 
-def _bisect_left_rv0(ratios, dens, tn, td):
-    """First index whose ratio vector's leading coordinate is >= tn/td."""
-    lo, hi = 0, len(ratios)
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if ratios[mid][0] * td < tn * dens[mid][0]:
-            lo = mid + 1
-        else:
-            hi = mid
-    return lo
-
-
-def _bisect_right_rv0(ratios, dens, tn, td):
-    """First index whose ratio vector's leading coordinate is > tn/td."""
-    lo, hi = 0, len(ratios)
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if ratios[mid][0] * td <= tn * dens[mid][0]:
-            lo = mid + 1
-        else:
-            hi = mid
-    return lo
-
-
-def _cmp_rv(nums, dens, a):
-    """Lex compare an entry's ratio vector against the point (a_2/a_1, ...)."""
-    a1 = a[0]
-    for c in range(len(nums)):
-        lhs = nums[c] * a1
-        rhs = a[c + 1] * dens[c]
-        if lhs != rhs:
-            return -1 if lhs < rhs else 1
-    return 0
-
-
-def _equal_range_rv(ratios, dens, a):
-    """Index range whose full ratio vector equals the observed point."""
-    lo, hi = 0, len(ratios)
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if _cmp_rv(ratios[mid], dens[mid], a) < 0:
-            lo = mid + 1
-        else:
-            hi = mid
-    start = lo
-    hi = len(ratios)
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if _cmp_rv(ratios[mid], dens[mid], a) <= 0:
-            lo = mid + 1
-        else:
-            hi = mid
-    return start, lo
+def _primitive(runs) -> Runs:
+    """The run vector divided by its gcd."""
+    div = math.gcd(*runs)
+    return tuple([r // div for r in runs])
 
 
 def _spec_ints(spec: ChannelSpec):
@@ -164,63 +117,79 @@ def _normalize_signal(signal: ObservedSignal, tol):
 
 
 class Decoder:
-    """Per-codebook decode indexes; build once, query many times."""
+    """Per-codebook decode indexes; build once, query many times.
+
+    The codebook is held weakly, so a cached decoder does not keep it alive.
+    """
 
     def __init__(self, codebook: Codebook):
-        self.codebook = codebook
+        self._codebook = weakref.ref(codebook)
         self.k = codebook.k
+        self.regime = codebook.regime
         self.words = codebook.codewords
         self._general = None
+        self._by_primitive = None
         self._chain = None
         self._alphabet = None
+
+    @property
+    def codebook(self) -> Optional[Codebook]:
+        """The decoded codebook, or None once it has been collected."""
+        return self._codebook()
+
+    def _primitive_index(self):
+        # primitive (gcd-1) vector -> the codewords that are multiples of it;
+        # codewords are in lex order, so each list ascends by multiplier
+        if self._by_primitive is None:
+            groups = {}
+            for w in self.words:
+                groups.setdefault(_primitive(w), []).append(w)
+            self._by_primitive = groups
+        return self._by_primitive
 
     # -- general consistency decoding ------------------------------------
 
     def _general_index(self):
-        # codewords sorted by their full ratio vector; ratios kept as int
+        # codewords sorted by x_1 (k=1) or by the ratio x_2/x_1, kept as int
         # pairs so queries never touch Fraction objects
         if self._general is None:
             if self.k == 1:
                 order = list(self.words)  # lex order = sorted by the only run
-                ratios = [w[0] for w in order]
+                nums = [w[0] for w in order]
                 dens = [1] * len(order)
             else:
-                order = sorted(
-                    self.words,
-                    key=lambda w: (tuple(Fraction(r, w[0]) for r in w[1:]), w),
-                )
-                ratios = [w[1:] for w in order]
-                dens = [(w[0],) * (self.k - 1) for w in order]
-            self._general = (order, ratios, dens)
+                order = sorted(self.words, key=lambda w: Fraction(w[1], w[0]))
+                nums = [w[1] for w in order]
+                dens = [w[0] for w in order]
+            self._general = (order, nums, dens)
         return self._general
 
     def consistent_ints(self, a, b, d, p, q, g, h, finite) -> list[Runs]:
         """All codewords consistent with the observation [a, b]/d."""
-        order, ratios, dens = self._general_index()
-        if self.k == 1:
-            # T*Z_1*x_1 must land in the observed interval
-            i0 = 0
-            if finite:
-                # x_1 >= lo/(gamma*xi): smallest index with x*g*p*d >= a*h*q
-                i0 = _bisect_left_frac(ratios, dens, a[0] * h * q, g * p * d)
-            i1 = _bisect_right_frac(ratios, dens, b[0], d)
-            return [order[i] for i in range(i0, i1)]
-        if p == q and a == b:
-            # jitterless exact observation: a consistent codeword's ratio
-            # vector must equal the observed one; binary-search that class
-            i0, i1 = _equal_range_rv(ratios, dens, a)
+        if self.k > 1 and p == q and a == b:
+            # jitterless exact observation Y = T*x: a consistent codeword
+            # has the observation's primitive vector
+            candidates = self._primitive_index().get(_primitive(a), ())
         else:
+            order, nums, dens = self._general_index()
+            if self.k == 1:
+                # T*Z_1*x_1 must land in the observed interval
+                i0 = 0
+                if finite:
+                    # x_1 >= lo/(gamma*xi): smallest index with x*g*p*d >= a*h*q
+                    i0 = _bisect_left_frac(nums, dens, a[0] * h * q, g * p * d)
+                return order[i0:_bisect_right_frac(nums, dens, b[0], d)]
             # ratio window: x2/x1 must lie within a jitter factor of the
             # observed ratio interval [a2/b1, b2/a1]
-            i0 = _bisect_left_rv0(ratios, dens, a[1] * q, b[0] * p)
-            i1 = _bisect_right_rv0(ratios, dens, b[1] * p, a[0] * q)
+            i0 = _bisect_left_frac(nums, dens, a[1] * q, b[0] * p)
+            i1 = _bisect_right_frac(nums, dens, b[1] * p, a[0] * q)
+            candidates = order[i0:i1]
         out = []
         gpd = g * p * d
         hq = h * q
         b0 = b[0]
         a0hq = a[0] * hq
-        for i in range(i0, i1):
-            x = order[i]
+        for x in candidates:
             x1 = x[0]  # inline first-run window; kills most candidates cheaply
             if b0 < d * x1 or (finite and a0hq > gpd * x1):
                 continue
@@ -258,29 +227,16 @@ class Decoder:
     _ALPHABET_REGIMES = ("jitter", "perfect-sync")
 
     def _chain_index(self):
-        # groups keyed by the ratio vector of the primitive (gcd-1) base;
-        # each group lists its multipliers in increasing order
+        # primitive groups sorted by their ratio base_2/base_1, kept as int
+        # pairs for the bisection
         if self._chain is None:
-            if self.k < 2:
-                raise ValueError(
-                    f"regime {self.codebook.regime!r} needs at least two runs"
-                )
-            groups = {}
-            for w in self.words:
-                div = gcd_of(w)
-                base = tuple(r // div for r in w)
-                groups.setdefault(base, []).append((div, w))
-            keyed = [
-                (tuple(Fraction(r, base[0]) for r in base[1:]), base, sorted(mults))
-                for base, mults in groups.items()
-            ]
-            keyed.sort(key=lambda entry: entry[0])
-            # ratios kept unreduced as (base_c, base_1) pairs; the
-            # cross-multiplied comparisons do not need lowest terms
-            ratios = [base[1:] for _, base, _ in keyed]
-            dens = [(base[0],) * (self.k - 1) for _, base, _ in keyed]
-            entries = [(base, mults) for _, base, mults in keyed]
-            self._chain = (entries, ratios, dens)
+            entries = sorted(
+                self._primitive_index().items(),
+                key=lambda entry: Fraction(entry[0][1], entry[0][0]),
+            )
+            nums = [base[1] for base, _ in entries]
+            dens = [base[0] for base, _ in entries]
+            self._chain = (entries, nums, dens)
         return self._chain
 
     def _alphabet_index(self):
@@ -291,45 +247,40 @@ class Decoder:
 
     def fast_ints(self, a, b, d, p, q, g, h, finite) -> list[Runs]:
         """Structured decode; returns the list of matches (want exactly one)."""
-        regime = self.codebook.regime
-        if regime in self._CHAIN_REGIMES:
+        if self.regime in self._CHAIN_REGIMES:
             return self._fast_chain(a, b, d, p, q, g, h, finite)
-        if regime in self._ALPHABET_REGIMES:
+        if self.regime in self._ALPHABET_REGIMES:
             return self._fast_alphabet(a, b, d, p, q)
-        raise ValueError(f"no structured decoder for regime {regime!r}")
+        raise ValueError(f"no structured decoder for regime {self.regime!r}")
 
     def _fast_chain(self, a, b, d, p, q, g, h, finite):
-        entries, ratios, dens = self._chain_index()
+        if self.k < 2:
+            raise ValueError(f"regime {self.regime!r} needs at least two runs")
         if p == q and a == b:
-            # jitterless exact: the observed ratio vector pins the one group
-            i0, i1 = _equal_range_rv(ratios, dens, a)
+            # jitterless exact: the observation's primitive vector pins the group
+            base = _primitive(a)
+            entries = [(base, self._primitive_index().get(base, ()))]
         else:
-            # locate groups whose first ratio sits in the observed window
-            i0 = _bisect_left_rv0(ratios, dens, a[1] * q, b[0] * p)
-            i1 = _bisect_right_rv0(ratios, dens, b[1] * p, a[0] * q)
+            # groups whose first ratio sits in the observed window
+            entries, nums, dens = self._chain_index()
+            i0 = _bisect_left_frac(nums, dens, a[1] * q, b[0] * p)
+            i1 = _bisect_right_frac(nums, dens, b[1] * p, a[0] * q)
+            entries = entries[i0:i1]
         matches = []
-        for gi in range(i0, i1):
-            base, mults = entries[gi]
-            rn = ratios[gi]
-            rd = dens[gi]
-            ok = True
-            for c in range(2, self.k):
-                un, ud = rn[c - 1], rd[c - 1]
-                # window on ratio c: [a_c/(b_1*xi), b_c*xi/a_1]
-                if a[c] * q * ud > b[0] * p * un or un * a[0] * q > b[c] * p * ud:
-                    ok = False
-                    break
-            if not ok:
-                continue
-            # multiplier window: Y_1/(mult * base_1) must reach [1, gamma*xi]
+        for base, words in entries:
             x1 = base[0]
-            for mult, w in mults:
-                mx1 = mult * x1
-                if b[0] < d * mx1:
-                    break  # multipliers ascend; later ones only larger
-                if finite and a[0] * h * q > g * p * d * mx1:
-                    continue
-                matches.append(w)
+            for c in range(2, self.k):
+                # window on ratio c: [a_c/(b_1*xi), b_c*xi/a_1]
+                if a[c] * q * x1 > b[0] * p * base[c] or base[c] * a[0] * q > b[c] * p * x1:
+                    break
+            else:
+                # multiplier window: Y_1/x_1 must reach [1, gamma*xi]
+                for w in words:
+                    if b[0] < d * w[0]:
+                        break  # multipliers ascend; later ones only larger
+                    if finite and a[0] * h * q > g * p * d * w[0]:
+                        continue
+                    matches.append(w)
         matches.sort()
         return matches
 

@@ -13,29 +13,21 @@ derived independently so runs parallelize without changing results.
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
-from .core import ChannelSpec, Codebook, as_ratio
-from .channel import derive_trial_seed, _GRID, _GRID_BITS
-from .decode import AmbiguityError, get_decoder, _spec_ints
+from .core import ChannelSpec, Codebook
+from .channel import derive_trial_seed, endpoint_ints, uniform_sampler
+from .decode import AmbiguityError, Decoder, get_decoder, _spec_ints
 
 __all__ = ["TrialReport", "DEFAULT_T_CAP", "run_endpoint_roundtrips", "run_uniform_roundtrips"]
 
 #: Drift corner used for unbounded-drift codebooks unless a cap is given.
 DEFAULT_T_CAP = Fraction(8)
 
-_FAST_REGIMES = (
-    "gcd",
-    "bounded-drift",
-    "jitter",
-    "jitter-unbounded-drift",
-    "jitter-bounded-drift",
-    "perfect-sync",
-)
+_FAST_REGIMES = Decoder._CHAIN_REGIMES + Decoder._ALPHABET_REGIMES
 
 
 @dataclass
@@ -56,38 +48,32 @@ class TrialReport:
             self.examples.append((codeword, detail))
 
 
-def _corner_factors(spec: ChannelSpec, k: int, t_cap):
-    """Per corner: (d, [c_1..c_k]) so that word x observes a_i = c_i * x_i over d."""
-    if spec.unbounded_drift:
-        cap = as_ratio(DEFAULT_T_CAP if t_cap is None else t_cap)
-        if cap < 1:
-            raise ValueError(f"t_cap must be >= 1, got {cap}")
-        hi_t = cap
-    else:
-        hi_t = spec.gamma
-    xi = spec.xi
-    corners = []
-    for index in range(1 << (k + 1)):
-        t = hi_t if index & 1 else Fraction(1)
-        z = [xi if index >> i & 1 else Fraction(1) for i in range(1, k + 1)]
-        d = t.denominator * math.lcm(*(v.denominator for v in z))
-        coeffs = [t.numerator * v.numerator * (d // (t.denominator * v.denominator)) for v in z]
-        corners.append((d, coeffs))
-    return corners
+def _trial_runner(codebook, spec, check_fast):
+    """(spec, report, run): run(word, (d, c)) decodes the observation c*word/d."""
+    if not codebook.codewords:
+        raise ValueError("codebook has no codewords to transmit")
+    spec = codebook.spec if spec is None else spec
+    check_fast = check_fast and codebook.regime in _FAST_REGIMES
+    decoder = get_decoder(codebook)
+    spec_ints = _spec_ints(spec)
+    report = TrialReport()
 
+    def run(codeword, realization):
+        d, coeffs = realization
+        a = [x * c for x, c in zip(codeword, coeffs)]
+        matches = decoder.consistent_ints(a, a, d, *spec_ints)
+        if matches != [codeword]:
+            report.record_failure(codeword, f"general decode gave {matches}")
+        if check_fast:
+            try:
+                fast = decoder.fast_ints(a, a, d, *spec_ints)
+            except AmbiguityError:
+                fast = None
+            if fast != [codeword]:
+                report.record_failure(codeword, f"structured decode gave {fast}")
+        report.trials += 1
 
-def _check_trial(report, decoder, spec_ints, check_fast, codeword, a, b, d):
-    matches = decoder.consistent_ints(a, b, d, *spec_ints)
-    if matches != [codeword]:
-        report.record_failure(codeword, f"general decode gave {matches}")
-    if check_fast:
-        try:
-            fast = decoder.fast_ints(a, b, d, *spec_ints)
-        except AmbiguityError:
-            fast = None
-        if fast != [codeword]:
-            report.record_failure(codeword, f"structured decode gave {fast}")
-    report.trials += 1
+    return spec, report, run
 
 
 def run_endpoint_roundtrips(
@@ -103,27 +89,17 @@ def run_endpoint_roundtrips(
     otherwise trial t uses codeword t mod |C| and advances the corner after
     each full pass over the codebook.
     """
-    spec = codebook.spec if spec is None else spec
-    check_fast = check_fast and codebook.regime in _FAST_REGIMES
-    decoder = get_decoder(codebook)
-    spec_ints = _spec_ints(spec)
-    corners = _corner_factors(spec, codebook.k, t_cap)
+    spec, report, run = _trial_runner(codebook, spec, check_fast)
+    corners = endpoint_ints(spec, codebook.k, DEFAULT_T_CAP if t_cap is None else t_cap)
     words = codebook.codewords
     n = len(words)
-    report = TrialReport()
-
-    def run_one(word, corner):
-        d, coeffs = corner
-        a = [x * c for x, c in zip(word, coeffs)]
-        _check_trial(report, decoder, spec_ints, check_fast, word, a, a, d)
-
     if trials is None:
         for corner in corners:
             for word in words:
-                run_one(word, corner)
+                run(word, corner)
     else:
         for t in range(trials):
-            run_one(words[t % n], corners[(t // n) % len(corners)])
+            run(words[t % n], corners[(t // n) % len(corners)])
     return report
 
 
@@ -135,31 +111,16 @@ def run_uniform_roundtrips(
     t_cap=None,
     check_fast: bool = True,
 ) -> TrialReport:
-    """Seeded uniform trials: random codeword, random interior realization."""
-    spec = codebook.spec if spec is None else spec
-    if spec.unbounded_drift and t_cap is None:
-        raise ValueError(
-            "gamma is infinite: uniform sampling over T is undefined; "
-            "pass t_cap or use endpoint trials"
-        )
-    check_fast = check_fast and codebook.regime in _FAST_REGIMES
-    decoder = get_decoder(codebook)
-    spec_ints = _spec_ints(spec)
-    hi_t = spec.gamma if not spec.unbounded_drift else as_ratio(t_cap)
+    """Seeded uniform trials: random codeword, random interior realization.
+
+    With unbounded drift, T is drawn from [1, t_cap] and t_cap is required.
+    """
+    spec, report, run = _trial_runner(codebook, spec, check_fast)
+    draw = uniform_sampler(spec, codebook.k, t_cap)
     words = codebook.codewords
     n = len(words)
-    report = TrialReport()
     for t in range(trials):
         rng = random.Random(derive_trial_seed(seed, t))
         word = words[rng.randrange(n)]
-        factors = []
-        for hi in (hi_t,) + (spec.xi,) * codebook.k:
-            u = rng.getrandbits(_GRID_BITS)
-            f = 1 + (hi - 1) * Fraction(u, _GRID)
-            factors.append((f.numerator, f.denominator))
-        tn, td = factors[0]
-        z = factors[1:]
-        d = td * math.lcm(*(zd for _, zd in z))
-        a = [x * tn * zn * (d // (td * zd)) for x, (zn, zd) in zip(word, z)]
-        _check_trial(report, decoder, spec_ints, check_fast, word, a, a, d)
+        run(word, draw(rng))
     return report

@@ -1,16 +1,19 @@
+import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from driftppm.core import INFINITY, ChannelSpec
 from driftppm.channel import (
     ChannelRealization,
     ObservedSignal,
     derive_trial_seed,
+    endpoint_ints,
     endpoint_realizations,
     sample_realization,
     transmit,
+    uniform_sampler,
 )
 
 
@@ -117,3 +120,40 @@ class TestSeedDerivation:
         seen = {derive_trial_seed(1, t) for t in range(1000)}
         assert len(seen) == 1000
         assert derive_trial_seed(1, 5) != derive_trial_seed(2, 5)
+
+
+def _fraction_draws(rng, hi_t, xi, k):
+    """T, Z_1..Z_k by the per-draw Fraction formula on the 2^-53 grid."""
+    return [1 + (hi - 1) * F(rng.getrandbits(53), 1 << 53) for hi in (hi_t,) + (xi,) * k]
+
+
+class TestIntegerRealizations:
+    @given(
+        seed=st.integers(0, 2**64),
+        k=st.integers(1, 4),
+        xi=st.fractions(1, 3, max_denominator=20),
+        gamma=st.one_of(st.fractions(1, 4, max_denominator=20), st.just(INFINITY)),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_uniform_sampler_matches_fraction_formula(self, seed, k, xi, gamma):
+        spec = ChannelSpec(xi, gamma)
+        t_cap = F(13, 2)
+        ints_rng = random.Random(seed)
+        d, c = uniform_sampler(spec, k, t_cap)(ints_rng)
+        fraction_rng = random.Random(seed)
+        t, *z = _fraction_draws(fraction_rng, F(13, 2) if gamma == INFINITY else gamma, xi, k)
+        assert [F(ci, d) for ci in c] == [t * zi for zi in z]
+        # same generator calls: both streams continue in step
+        assert ints_rng.getrandbits(64) == fraction_rng.getrandbits(64)
+        r = sample_realization(spec, k, seed, t_cap=t_cap)
+        assert (r.t, r.z) == (t, tuple(z))
+
+    def test_endpoint_ints_match_realizations(self):
+        for spec, t_cap in ((ChannelSpec(F(3, 2), F(7, 4)), None), (ChannelSpec(2, INFINITY), 5)):
+            for k in (1, 2, 3):
+                corners = [
+                    [r.t * z for z in r.z] for r in endpoint_realizations(spec, k, t_cap)
+                ]
+                assert corners == [
+                    [F(ci, d) for ci in c] for d, c in endpoint_ints(spec, k, t_cap)
+                ]

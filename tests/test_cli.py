@@ -167,6 +167,25 @@ class TestSimulate:
     def test_missing_file_exits_1(self, capsys):
         assert run(capsys, "simulate", "--code", "/nonexistent.code")[0] == 1
 
+    @pytest.mark.parametrize("mode", ["endpoints", "uniform"])
+    def test_cap_below_one_exits_1(self, capsys, tmp_path, mode):
+        path = tmp_path / "book.code"
+        assert run(capsys, "construct", "--k", "2", "--M", "10", "--xi", "1",
+                   "--gamma", "inf", "--out", str(path))[0] == 0
+        code, out, err = run(capsys, "simulate", "--code", str(path), "--mode", mode,
+                             "--trials", "20", "--t-cap", "1/2")
+        assert (code, out) == (1, "")
+        assert err == "error: t_cap must be >= 1, got 1/2\n"
+
+    @pytest.mark.parametrize("mode", ["endpoints", "uniform"])
+    def test_empty_codebook_exits_1(self, capsys, tmp_path, mode):
+        path = tmp_path / "empty.code"
+        path.write_text("k=2 M=10 xi=1 gamma=7/4 regime=bounded-drift\n")
+        code, out, err = run(capsys, "simulate", "--code", str(path), "--mode", mode,
+                             "--trials", "20")
+        assert (code, out) == (1, "")
+        assert err == "error: codebook has no codewords to transmit\n"
+
 
 class TestVerify:
     def test_clean_codebook(self, capsys, tmp_path):

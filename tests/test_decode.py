@@ -1,3 +1,5 @@
+import copy
+import gc
 from fractions import Fraction as F
 
 import pytest
@@ -11,13 +13,19 @@ from driftppm.constructions import (
     code_jitter,
     code_jitter_bounded_drift,
     code_jitter_unbounded_drift,
+    perfect_sync_code,
 )
 from driftppm.decode import (
     AmbiguityError,
+    Decoder,
     NoCodewordError,
     consistent_codewords,
     decode,
     decode_fast,
+    get_decoder,
+    _DECODER_CACHE,
+    _normalize_signal,
+    _spec_ints,
 )
 
 
@@ -165,3 +173,101 @@ class TestFloatMode:
         with pytest.raises(NoCodewordError):
             decode(y, GCD65, tol=F(1, 10**9))
         assert decode(y, GCD65, tol=F(1, 10**6)) == (1, 2)
+
+
+class TestDecoderCache:
+    def test_collected_codebook_leaves_the_cache(self):
+        book = copy.copy(GCD65)
+        key = id(book)
+        decoder = get_decoder(book)
+        assert decoder.codebook is book and get_decoder(book) is decoder
+        del book
+        gc.collect()
+        assert key not in _DECODER_CACHE
+        assert decoder.codebook is None
+
+
+def _exact_ints(values):
+    a, b, d = _normalize_signal(ObservedSignal.from_exact(values), None)
+    assert a == b
+    return a, d
+
+
+def _multiples_of(data, k):
+    """Custom codebook of small bases and several multiples of each."""
+    run = st.integers(1, 5)
+    bases = data.draw(st.lists(st.tuples(*[run] * k), min_size=1, max_size=6))
+    mults = st.sets(st.integers(1, 4), min_size=1, max_size=3)
+    words = {tuple(mult * r for r in base) for base in bases for mult in data.draw(mults)}
+    m = max(sum(w) for w in words)
+    return Codebook.build(k, m, ChannelSpec(1, INFINITY), "custom", words)
+
+
+class TestJitterlessLookup:
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_feasibility_scan(self, data):
+        # several candidates per primitive vector, T inside and outside
+        # [1, gamma], and observations proportional to no codeword
+        k = data.draw(st.integers(2, 3))
+        book = _multiples_of(data, k)
+        word = data.draw(st.sampled_from(book.codewords))
+        lam = data.draw(st.fractions(F(1, 4), 6, max_denominator=12))
+        values = [lam * r for r in word]
+        if data.draw(st.integers(0, 3)) == 0:
+            values[data.draw(st.integers(0, k - 1))] += data.draw(
+                st.fractions(F(1, 8), 2, max_denominator=8)
+            )
+        gamma = data.draw(st.sampled_from([F(1), F(7, 4), F(4), INFINITY]))
+        p, q, g, h, finite = spec_ints = _spec_ints(ChannelSpec(1, gamma))
+        a, d = _exact_ints(values)
+        decoder = Decoder(book)
+        scan = [
+            w for w in book.codewords
+            if decoder._feasible(w, a, a, d, p, q, g * p * d, h * q, finite)
+        ]
+        assert decoder.consistent_ints(a, a, d, *spec_ints) == scan
+
+    def test_all_multiples_in_window(self):
+        book = Codebook(2, 20, ChannelSpec(1, INFINITY), "custom", ((1, 2), (2, 4), (3, 6), (4, 7)))
+        assert consistent_codewords(exact(6, 12), book) == [(1, 2), (2, 4), (3, 6)]
+        spec = ChannelSpec(1, F(5, 2))
+        assert consistent_codewords(exact(6, 12), book, spec) == [(3, 6)]
+
+
+CONSTRUCTED = [
+    code_gcd(2, 30),
+    code_gcd(3, 12),
+    code_bounded_drift(2, 30, F(7, 4)),
+    code_bounded_drift(3, 16, F(7, 4)),
+    perfect_sync_code(3, 12),
+    code_jitter(2, 30, F(3, 2)),
+    code_jitter_unbounded_drift(30, F(3, 2)),
+    code_jitter_bounded_drift(30, F(3, 2), F(7, 4)),
+]
+
+
+class TestFastMatchesGeneral:
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_exact_observations(self, data):
+        book = data.draw(st.sampled_from(CONSTRUCTED))
+        word = data.draw(st.sampled_from(book.codewords))
+        spec = book.spec
+        unit = st.fractions(0, 1, max_denominator=8)
+        if spec.xi == 1:
+            # without jitter the decoders agree on any scaling, in spec or not
+            values = [data.draw(st.fractions(F(1, 4), 4, max_denominator=12)) * r for r in word]
+            if data.draw(st.booleans()):
+                values[0] += 1
+        else:
+            hi_t = F(6) if spec.unbounded_drift else spec.gamma
+            t = 1 + (hi_t - 1) * data.draw(unit)
+            values = [t * (1 + (spec.xi - 1) * data.draw(unit)) * r for r in word]
+        a, d = _exact_ints(values)
+        decoder = Decoder(book)
+        spec_ints = _spec_ints(spec)
+        general = decoder.consistent_ints(a, a, d, *spec_ints)
+        assert decoder.fast_ints(a, a, d, *spec_ints) == general
+        if spec.xi > 1:
+            assert general == [word]

@@ -2,14 +2,14 @@ from fractions import Fraction as F
 
 import pytest
 
-from driftppm.core import INFINITY, ChannelSpec, Codebook
+from driftppm.core import INFINITY, REGIMES, ChannelSpec, Codebook
 from driftppm.constructions import (
     code_bounded_drift,
     code_gcd,
     code_jitter,
     code_jitter_unbounded_drift,
 )
-from driftppm.simulate import run_endpoint_roundtrips, run_uniform_roundtrips
+from driftppm.simulate import _FAST_REGIMES, run_endpoint_roundtrips, run_uniform_roundtrips
 
 
 class TestEndpointRoundtrips:
@@ -65,3 +65,7 @@ class TestUniformRoundtrips:
         cb = code_gcd(2, 10)
         with pytest.raises(ValueError):
             run_uniform_roundtrips(cb, 10, seed=1)
+
+
+def test_every_construction_regime_is_cross_checked():
+    assert set(_FAST_REGIMES) == set(REGIMES) - {"custom"}
