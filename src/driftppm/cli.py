@@ -58,6 +58,19 @@ def _drift(text):
         raise argparse.ArgumentTypeError(str(exc))
 
 
+def _non_negative(parse):
+    """argparse type: parse the value, then refuse it below zero (or NaN)."""
+
+    def check(text):
+        value = parse(text)
+        if not value >= 0:
+            raise argparse.ArgumentTypeError(f"must be non-negative, got {text}")
+        return value
+
+    check.__name__ = parse.__name__  # argparse names the type in parse errors
+    return check
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="driftppm", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -98,7 +111,11 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("simulate", help="round-trip decode trials over a codebook")
     p.add_argument("--code", required=True, help="codebook file")
-    p.add_argument("--trials", type=int, help="endpoints mode defaults to full coverage")
+    p.add_argument(
+        "--trials",
+        type=_non_negative(int),
+        help="endpoints mode defaults to full coverage",
+    )
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--mode", default="endpoints", choices=("uniform", "endpoints"))
     p.add_argument("--t-cap", type=_ratio, help="drift bound stand-in when gamma=inf")
@@ -113,8 +130,14 @@ def _build_parser() -> _Parser:
     p.add_argument("--M", type=int, required=True)
     p.add_argument("--xi", type=_ratio, default=Fraction(1))
     p.add_argument("--gamma", type=_drift, default=INFINITY)
-    p.add_argument("--budget-seconds", type=float, help="wall-clock budget")
-    p.add_argument("--budget-nodes", type=int, help="search-node budget (reproducible)")
+    p.add_argument(
+        "--budget-seconds", type=_non_negative(float), help="wall-clock budget"
+    )
+    p.add_argument(
+        "--budget-nodes",
+        type=_non_negative(int),
+        help="search-node budget (reproducible)",
+    )
     p.add_argument("--out", help="write the optimal codebook here")
 
     return parser

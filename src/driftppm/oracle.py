@@ -2,9 +2,13 @@
 
 A zero-error code is exactly an independent set of the confusion graph, so
 an exact maximum-independent-set solver gives the true optimal code size on
-small instances.  The solver is a deterministic branch-and-bound over bitmask
-neighborhoods with a greedy clique-cover upper bound; it never exploits any
-structure of the construction it is asked to validate.
+small instances.  The solver is a deterministic colour-ordered
+branch-and-bound over bitmask neighborhoods (a maximum-clique search on the
+complement graph in the style of Tomita et al., WALCOM 2010): one greedy
+clique cover per search node bounds every branch taken from it.  It keeps
+its own stack, so search depth is not limited by Python's recursion limit,
+and it never exploits any structure of the construction it is asked to
+validate.
 """
 
 from __future__ import annotations
@@ -35,6 +39,7 @@ BUDGET_EXCEEDED = "BUDGET_EXCEEDED"
 class MisResult:
     indices: tuple[int, ...]
     status: str
+    nodes: int = 0
 
     @property
     def size(self) -> int:
@@ -83,37 +88,25 @@ def _components(neighbors: Sequence[int], n: int) -> list[int]:
     return comps
 
 
-def _clique_cover_bound(candidates: int, neighbors) -> int:
-    """Upper bound on the independent set inside candidates: greedily cover
-    them with cliques; any independent set takes at most one vertex per clique."""
+def _clique_cover(candidates: int, neighbors) -> list[tuple[int, int]]:
+    """Greedily cover candidates with cliques, lowest index first.
+
+    Returns (vertex, cover index) pairs in cover order.  Any independent set
+    takes at most one vertex per clique, so the candidates up to a vertex
+    hold no independent set larger than that vertex's cover index.
+    """
+    cover = []
     count = 0
     rest = candidates
     while rest:
-        v = (rest & -rest).bit_length() - 1
-        clique = 1 << v
-        grow = rest & neighbors[v]
+        count += 1
+        grow = rest
         while grow:
             u = (grow & -grow).bit_length() - 1
-            clique |= 1 << u
+            cover.append((u, count))
+            rest &= ~(1 << u)
             grow &= neighbors[u]
-        rest &= ~clique
-        count += 1
-    return count
-
-
-def _branch_vertex(candidates: int, neighbors) -> int:
-    """Highest degree within the candidate set, lowest index on ties."""
-    best_v = -1
-    best_deg = -1
-    c = candidates
-    while c:
-        v = (c & -c).bit_length() - 1
-        deg = (neighbors[v] & candidates).bit_count()
-        if deg > best_deg:
-            best_deg = deg
-            best_v = v
-        c &= c - 1
-    return best_v
+    return cover
 
 
 def _greedy_seed(neighbors, comp: int) -> list[int]:
@@ -130,41 +123,54 @@ def _greedy_seed(neighbors, comp: int) -> list[int]:
 
 
 def _mis_component(neighbors, comp: int, budget: _Budget) -> list[int]:
+    # renumber by ascending degree (ties by index): low-degree vertices
+    # open the cliques and the greedy incumbent
+    order = []
+    c = comp
+    while c:
+        order.append((c & -c).bit_length() - 1)
+        c &= c - 1
+    order.sort(key=lambda v: neighbors[v].bit_count())
+    rank = {v: i for i, v in enumerate(order)}
+    local = []
+    for v in order:
+        mask = 0
+        c = neighbors[v]
+        while c:
+            mask |= 1 << rank[(c & -c).bit_length() - 1]
+            c &= c - 1
+        local.append(mask)
     # a greedy incumbent makes budget-exceeded lower bounds useful and
     # lets the very first bound checks prune
-    best = _greedy_seed(neighbors, comp)
-
-    def expand(candidates: int, current: list[int]):
-        nonlocal best
-        if not budget.tick():
-            return
-        # vertices isolated within the candidate set always join
-        c = candidates
-        while c:
-            v = (c & -c).bit_length() - 1
-            if not neighbors[v] & candidates:
-                current.append(v)
-                candidates &= ~(1 << v)
-            c &= c - 1
-        if not candidates:
-            if len(current) > len(best) or (
-                len(current) == len(best) and sorted(current) < best
-            ):
-                best = sorted(current)
-            return
-        if len(current) + _clique_cover_bound(candidates, neighbors) <= len(best):
-            return
-        v = _branch_vertex(candidates, neighbors)
-        bit = 1 << v
-        taken = len(current)
-        current.append(v)
-        expand(candidates & ~neighbors[v] & ~bit, current)
-        del current[taken:]
-        expand(candidates & ~bit, current)
-        del current[taken:]
-
-    expand(comp, [])
-    return best
+    full = (1 << len(order)) - 1
+    best = _greedy_seed(local, full)
+    # one frame per search node: [candidates left, (vertex, cover index)
+    # pairs not yet branched on]; current holds one vertex per child frame
+    stack = [[full, None]]
+    current: list[int] = []
+    while stack:
+        frame = stack[-1]
+        candidates, branches = frame
+        if branches is None:
+            if not budget.tick():
+                break
+            branches = frame[1] = _clique_cover(candidates, local)
+        if branches and len(current) + branches[-1][1] > len(best):
+            v, _ = branches.pop()
+            bit = 1 << v
+            frame[0] = candidates & ~bit
+            child = candidates & ~local[v] & ~bit
+            current.append(v)
+            if child:
+                stack.append([child, None])
+                continue
+            if len(current) > len(best):
+                best = current[:]
+        else:
+            stack.pop()
+        if current:
+            current.pop()
+    return [order[v] for v in best]
 
 
 def max_independent_set(
@@ -174,17 +180,22 @@ def max_independent_set(
 ) -> MisResult:
     """Exact maximum independent set, or the best set found within budget.
 
-    Deterministic given the vertex order: branching follows descending
-    candidate degree with lowest-index tie-breaks, and among equal-size
-    solutions the lexicographically least one reached is kept.  Budget
-    exhaustion is reported as a status, not an error.
+    Each connected component is searched on its own, its vertices renumbered
+    by ascending degree.  At every search node one greedy clique cover of
+    the candidate set bounds every branch: the search branches on vertices
+    in reverse cover order and stops once the current set plus the vertex's
+    cover index cannot beat the incumbent.  Among equal-size solutions the
+    first one reached is kept, so unless the time budget runs out the result
+    depends only on the graph and the node budget.  Budget exhaustion is
+    reported as a status, not an error; ``nodes`` counts the search nodes
+    visited, and a node budget of exactly that many reproduces the result.
     """
     budget = _Budget(node_budget, time_budget)
     chosen: list[int] = []
     for comp in _components(graph.neighbors, graph.n):
         chosen.extend(_mis_component(graph.neighbors, comp, budget))
     status = BUDGET_EXCEEDED if budget.exhausted else EXACT
-    return MisResult(tuple(sorted(chosen)), status)
+    return MisResult(tuple(sorted(chosen)), status, budget.nodes)
 
 
 @dataclass(frozen=True)

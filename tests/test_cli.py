@@ -187,6 +187,17 @@ class TestSimulate:
         assert err == "error: codebook has no codewords to transmit\n"
 
 
+    @pytest.mark.parametrize("mode", ["endpoints", "uniform"])
+    def test_negative_trials_exits_1(self, capsys, tmp_path, mode):
+        path = tmp_path / "book.code"
+        assert run(capsys, "construct", "--k", "2", "--M", "10", "--xi", "1",
+                   "--gamma", "7/4", "--out", str(path))[0] == 0
+        code, out, err = run(capsys, "simulate", "--code", str(path), "--mode", mode,
+                             "--trials", "-5")
+        assert (code, out) == (1, "")
+        assert err == "error: argument --trials: must be non-negative, got -5\n"
+
+
 class TestVerify:
     def test_clean_codebook(self, capsys, tmp_path):
         path = tmp_path / "book.code"
@@ -228,10 +239,20 @@ class TestOracle:
         assert out.startswith("mis_size=3 ")
 
     def test_budget_exceeded_exit_3(self, capsys):
-        code, out, _ = run(capsys, "oracle", "--k", "2", "--M", "10",
-                           "--xi", "2", "--gamma", "2", "--budget-nodes", "1")
+        # the root node alone cannot prove this instance (it takes 37 nodes)
+        code, out, _ = run(capsys, "oracle", "--k", "2", "--M", "12",
+                           "--xi", "3/2", "--gamma", "3/2", "--budget-nodes", "1")
         assert code == 3
         assert "status=BUDGET_EXCEEDED" in out
+
+    @pytest.mark.parametrize(
+        "flag, value", [("--budget-nodes", "-3"), ("--budget-seconds", "-1")]
+    )
+    def test_negative_budget_exits_1(self, capsys, flag, value):
+        code, out, err = run(capsys, "oracle", "--k", "2", "--M", "10",
+                             "--xi", "2", "--gamma", "2", flag, value)
+        assert (code, out) == (1, "")
+        assert err == f"error: argument {flag}: must be non-negative, got {value}\n"
 
     def test_writes_codebook(self, capsys, tmp_path):
         path = tmp_path / "mis.code"

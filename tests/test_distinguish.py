@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from driftppm.core import INFINITY, ChannelSpec, enumerate_inputs, ratio_vector
-from driftppm.distinguish import confusion_graph, indistinguishable
+from driftppm import distinguish
+from driftppm.distinguish import _pairwise_rows, confusion_graph, indistinguishable
 
 UNBOUNDED = ChannelSpec(1, INFINITY)
 
@@ -150,6 +151,31 @@ class TestConfusionGraph:
             for j, y in enumerate(inputs):
                 expected = i != j and indistinguishable(x, y, spec)
                 assert graph.has_edge(i, j) == expected
+
+    @pytest.mark.parametrize("k, m", [(2, 12), (3, 9)])
+    def test_scalar_fallback_matches_int64_kernel(self, k, m, monkeypatch):
+        words = enumerate_inputs(k, m)
+        # xi = 1 + 2^-e, gamma = 3/2: runs this short give no ratio within
+        # 2^-15 of another ratio or of a bound, so both specs confuse the
+        # same pairs.  xi's numerator squared times the largest run squared
+        # lies below the int64 guard for the first spec and above it for the second.
+        below = ChannelSpec(F(2**27 + 1, 2**27), F(3, 2))
+        above = ChannelSpec(F(2**31 + 1, 2**31), F(3, 2))
+        calls = []
+
+        def counted(x, y, spec):
+            calls.append(spec)
+            return indistinguishable(x, y, spec)
+
+        monkeypatch.setattr(distinguish, "indistinguishable", counted)
+        int64_rows = [row.tolist() for _, row in _pairwise_rows(words, below)]
+        assert calls == []
+        scalar_rows = [row.tolist() for _, row in _pairwise_rows(words, above)]
+        assert len(calls) == len(words) ** 2
+        expected = [[indistinguishable(x, y, above) for y in words] for x in words]
+        assert scalar_rows == expected
+        assert scalar_rows == int64_rows
+        assert sum(map(sum, expected)) > len(words)  # some edges besides i == i
 
     def test_no_self_loops(self):
         graph = confusion_graph(enumerate_inputs(2, 6), ChannelSpec(2, 1))

@@ -1,6 +1,7 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from driftppm.core import INFINITY, ChannelSpec, Codebook
 from driftppm.constructions import (
@@ -29,6 +30,32 @@ def graph_from_edges(n, edges):
         masks[j] |= 1 << i
     vertices = tuple((v + 1,) for v in range(n))
     return ConfusionGraph(vertices, UNBOUNDED, tuple(masks))
+
+
+def assert_independent(graph, indices):
+    chosen = sum(1 << i for i in indices)
+    assert len(set(indices)) == len(indices)
+    for i in indices:
+        assert not graph.neighbors[i] & chosen
+
+
+def brute_force_mis_size(graph):
+    """Largest independent subset, by trying every subset."""
+    best = 0
+    for mask in range(1 << graph.n):
+        if mask.bit_count() > best and all(
+            not graph.neighbors[v] & mask for v in range(graph.n) if mask >> v & 1
+        ):
+            best = mask.bit_count()
+    return best
+
+
+@st.composite
+def small_graphs(draw, max_n=14):
+    n = draw(st.integers(0, max_n))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return graph_from_edges(n, [p for p, k in zip(pairs, keep) if k])
 
 
 class TestMaxIndependentSet:
@@ -67,11 +94,51 @@ class TestMaxIndependentSet:
         assert res.status == BUDGET_EXCEEDED
         assert res.size >= 1  # the greedy incumbent still gives a lower bound
         # the returned set is independent even when truncated
-        for i in res.indices:
-            for j in res.indices:
-                assert i == j or not g.has_edge(i, j)
+        assert_independent(g, res.indices)
         # with room to search, the same graph is solved exactly
         assert max_independent_set(g).status == EXACT
+
+    @given(small_graphs())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_brute_force(self, g):
+        res = max_independent_set(g)
+        assert res.status == EXACT
+        assert res.size == brute_force_mis_size(g)
+        assert_independent(g, res.indices)
+        # exactly the nodes it reports are enough to solve it again
+        assert max_independent_set(g, node_budget=res.nodes) == res
+        if res.nodes:
+            short = max_independent_set(g, node_budget=res.nodes - 1)
+            assert short.status == BUDGET_EXCEEDED
+
+    @given(small_graphs(), st.integers(0, 12))
+    @settings(max_examples=150, deadline=None)
+    def test_small_budget(self, g, budget):
+        res = max_independent_set(g, node_budget=budget)
+        assert_independent(g, res.indices)
+        assert res.nodes <= budget + 1
+        if res.status == EXACT:
+            assert res.size == brute_force_mis_size(g)
+        else:
+            assert res.status == BUDGET_EXCEEDED
+        assert max_independent_set(g, node_budget=budget) == res
+
+    @pytest.mark.parametrize(
+        "n, edges, size",
+        [
+            (3000, [(i, i + 1) for i in range(2999)], 1500),
+            (3001, [(i, (i + 1) % 3001) for i in range(3001)], 1500),
+            # the same kind of path with vertex i at position 3i mod n: the
+            # first dive of the search is 1051 vertices deep
+            (2101, [(3 * i % 2101, 3 * (i + 1) % 2101) for i in range(2100)], 1051),
+        ],
+        ids=["path", "cycle", "relabelled-path"],
+    )
+    def test_long_paths_need_no_recursion(self, n, edges, size):
+        g = graph_from_edges(n, edges)
+        res = max_independent_set(g)
+        assert (res.size, res.status) == (size, EXACT)
+        assert_independent(g, res.indices)
 
 
 class TestOptimalCodeBruteforce:
