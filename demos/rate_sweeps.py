@@ -44,6 +44,11 @@ sweeps = {
         "sweep", "--param", "M", "--values", "4,8,16,32,64,128",
         "--k", "3", "--xi", "1", "--gamma", "inf",
     ],
+    # rate vs frame size under bounded drift, out to M=1024 (425 837 words)
+    "rate_vs_frame_drift.csv": [
+        "sweep", "--param", "M", "--values", "65,128,256,512,1024",
+        "--k", "2", "--gamma", "7/4",
+    ],
 }
 
 for name, argv in sweeps.items():

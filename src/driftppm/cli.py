@@ -10,6 +10,7 @@ runs and platforms.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from fractions import Fraction
 
@@ -33,6 +34,10 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_FAILED = 2
 EXIT_BUDGET = 3
+
+#: Most points a start:stop:step range may expand to; every point builds a
+#: codebook, so a larger grid is almost surely a mistyped step.
+_MAX_GRID_POINTS = 10_000
 
 
 class _UsageError(Exception):
@@ -151,13 +156,12 @@ def _parse_grid(text: str, parse_one):
         start, stop, step = (parse_ratio(part) for part in parts)
         if step <= 0:
             raise ValueError("range step must be positive")
-        grid = []
-        value = start
-        while value <= stop:
-            grid.append(value)
-            value += step
-        return grid
-    grid = [parse_one(tok) for tok in text.split(",") if tok.strip()]
+        count = max(0, math.floor((stop - start) / step) + 1)
+        if count > _MAX_GRID_POINTS:
+            raise ValueError(f"range has {count} points, more than {_MAX_GRID_POINTS}")
+        grid = [start + i * step for i in range(count)]
+    else:
+        grid = [parse_one(tok) for tok in text.split(",") if tok.strip()]
     if not grid:
         raise ValueError("empty value grid")
     return grid

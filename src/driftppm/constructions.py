@@ -12,13 +12,15 @@ Five constructions cover the (xi, gamma) regimes:
 
 The chained constructions share one greedy recurrence: starting from 1, each
 multiplier is the smallest integer exceeding the previous one by strictly more
-than a given step ratio, i.e. floor(step * d + 1).  All arithmetic is exact.
+than a given step ratio, i.e. floor(step * d) + 1.  Every input x is gcd(x)
+times its primitive vector, so a chained code keeps x iff gcd(x) is on the
+chain: one pass over the inputs, in lexicographic order.  All arithmetic is
+exact.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from fractions import Fraction
 from typing import Sequence
 
@@ -31,6 +33,7 @@ from .core import (
     RatioLike,
     Runs,
     UnsupportedRegimeError,
+    _run_vectors,
     as_ratio,
     enumerate_inputs,
     gcd_of,
@@ -76,7 +79,7 @@ def _as_step(value) -> DriftRatio:
 def geometric_multipliers(step, limit: int) -> list[int]:
     """Integers 1 = d_1 < d_2 < ... <= limit with each ratio d_i/d_{i-1} > step.
 
-    Greedy and maximal: d_i = floor(step * d_{i-1} + 1), the smallest integer
+    Greedy and maximal: d_i = floor(step * d_{i-1}) + 1, the smallest integer
     strictly beyond the gap (when step * d is itself an integer, the next
     multiplier is step * d + 1).  An infinite step yields just [1].
     """
@@ -85,12 +88,11 @@ def geometric_multipliers(step, limit: int) -> list[int]:
         return []
     if step == INFINITY:
         return [1]
+    num, den = step.numerator, step.denominator
     out = [1]
-    while True:
-        nxt = math.floor(step * out[-1]) + 1
-        if nxt > limit:
-            return out
+    while (nxt := num * out[-1] // den + 1) <= limit:
         out.append(nxt)
+    return out
 
 
 def multiples_chain(runs: Sequence[int], gamma, m: int) -> list[Runs]:
@@ -109,29 +111,36 @@ def multiples_chain(runs: Sequence[int], gamma, m: int) -> list[Runs]:
     return [tuple(d * r for r in runs) for d in geometric_multipliers(gamma, m // total)]
 
 
+def _by_gcd(k: int, m: int, step, bases=None) -> tuple[Runs, ...]:
+    """Inputs, in order, whose gcd is on the chain of step (and, given bases,
+    whose primitive vector is one of them)."""
+    if k == 1:
+        raise UnsupportedRegimeError(_K1_DRIFT_REASON)
+    inputs, chain = enumerate_inputs(k, m), set(geometric_multipliers(step, m))
+    return tuple(x for x in inputs if (g := math.gcd(*x)) in chain
+                 and (bases is None or tuple(r // g for r in x) in bases))
+
+
 def code_gcd(k: int, m: int) -> Codebook:
     """All inputs whose runs have gcd 1; optimal for unbounded drift, no jitter.
 
     Distinct codewords have distinct run-ratio vectors, which survive any
     drift factor.  Built by exhaustive filtering of the full input set.
     """
-    if k == 1:
-        raise UnsupportedRegimeError(_K1_DRIFT_REASON)
-    words = [x for x in enumerate_inputs(k, m) if gcd_of(x) == 1]
-    return Codebook(k, m, ChannelSpec(1, INFINITY), "gcd", tuple(words))
+    return Codebook(k, m, ChannelSpec(1, INFINITY), "gcd", _by_gcd(k, m, INFINITY))
 
 
 def code_bounded_drift(k: int, m: int, gamma) -> Codebook:
     """Union of drift chains over the gcd-1 inputs; optimal for ratio gamma.
 
-    With gamma = 1 the chains fill in every multiple and the code degenerates
-    to the full input set (perfect synchronization).
+    The chain of base p uses geometric_multipliers(gamma, m // sum(p)), and the
+    recurrence never looks at its limit, so that is a prefix of one list up to
+    m: x is a codeword iff gcd(x) is on it.  With gamma = 1 every multiple
+    qualifies and the code is the full input set (perfect synchronization).
     """
     gamma = _as_step(gamma)
-    words = set()
-    for base in code_gcd(k, m).codewords:
-        words.update(multiples_chain(base, gamma, m))
-    return Codebook.build(k, m, ChannelSpec(1, gamma), "bounded-drift", words)
+    words = _by_gcd(k, m, gamma)
+    return Codebook(k, m, ChannelSpec(1, gamma), "bounded-drift", words)
 
 
 def jitter_chain(m: int, xi) -> list[int]:
@@ -149,28 +158,23 @@ def code_jitter(k: int, m: int, xi) -> Codebook:
     as soon as one coordinate differs -- and chain values differ by more than
     the jitter can bridge.
     """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    if m < k:
-        raise EmptyDomainError(f"no inputs with {k} pulses in {m} bins")
-    xi = as_ratio(xi)
-    alphabet = jitter_chain(m, xi)
-    words: list[Runs] = []
-
-    def extend(prefix, budget):
-        if len(prefix) == k:
-            words.append(tuple(prefix))
-            return
-        remaining = k - len(prefix) - 1
-        for value in alphabet:
-            if value + remaining > budget:
-                break
-            prefix.append(value)
-            extend(prefix, budget - value)
-            prefix.pop()
-
-    extend([], m)
+    words = _run_vectors(k, m, jitter_chain(m, xi))
     return Codebook(k, m, ChannelSpec(xi, 1), "jitter", tuple(words))
+
+
+def _coprime_pairs(m: int):
+    """Coprime pairs (x1, x2) with x1 + x2 <= m, by increasing ratio x2/x1.
+
+    x2/x1 -> x2/(x1 + x2) is increasing and onto the interior of the Farey
+    sequence of order m, so walking that sequence visits the ratios in order.
+    """
+    if m < 2:
+        raise EmptyDomainError(f"no two-pulse inputs in {m} bins")
+    a, b, c, d = 0, 1, 1, m
+    while c < d:
+        yield d - c, c
+        q = (m + b) // d
+        a, b, c, d = c, d, q * c - a, q * d - b
 
 
 def ratio_set(m: int) -> list[Fraction]:
@@ -179,9 +183,7 @@ def ratio_set(m: int) -> list[Fraction]:
     Coprime pairs map one-to-one onto lowest-terms fractions, so the set is
     in bijection with code_gcd(2, m).
     """
-    if m < 2:
-        raise EmptyDomainError(f"no two-pulse inputs in {m} bins")
-    return sorted(Fraction(x2, x1) for x1, x2 in code_gcd(2, m).codewords)
+    return [Fraction(x2, x1) for x1, x2 in _coprime_pairs(m)]
 
 
 def code_jitter_unbounded_drift(m: int, xi) -> Codebook:
@@ -196,14 +198,13 @@ def code_jitter_unbounded_drift(m: int, xi) -> Codebook:
     xi = as_ratio(xi)
     if xi < 1:
         raise ValueError(f"xi must be >= 1, got {xi}")
-    ratios = ratio_set(m)
-    gap = xi * xi
+    p, q = xi.numerator**2, xi.denominator**2
     words = []
-    idx = 0
-    while idx < len(ratios):
-        u = ratios[idx]
-        words.append((u.denominator, u.numerator))
-        idx = bisect_right(ratios, gap * u)
+    y1, y2 = 1, 0  # the last pick; ratio 0 admits the first pair
+    for x1, x2 in _coprime_pairs(m):
+        if q * x2 * y1 > p * y2 * x1:  # x2/x1 > xi^2 * y2/y1
+            words.append((x1, x2))
+            y1, y2 = x1, x2
     return Codebook.build(
         2, m, ChannelSpec(xi, INFINITY), "jitter-unbounded-drift", words
     )
@@ -219,12 +220,8 @@ def code_jitter_bounded_drift(m: int, xi, gamma) -> Codebook:
     xi = as_ratio(xi)
     gamma = _as_step(gamma)
     step = INFINITY if gamma == INFINITY else gamma * xi
-    words = set()
-    for base in code_jitter_unbounded_drift(m, xi).codewords:
-        words.update(multiples_chain(base, step, m))
-    return Codebook.build(
-        2, m, ChannelSpec(xi, gamma), "jitter-bounded-drift", words
-    )
+    words = _by_gcd(2, m, step, set(code_jitter_unbounded_drift(m, xi).codewords))
+    return Codebook(2, m, ChannelSpec(xi, gamma), "jitter-bounded-drift", words)
 
 
 def best_achievable_rate(m: int, xi, gamma, xi_grid: Sequence[RatioLike]) -> float:
@@ -269,13 +266,16 @@ def construct(k: int, m: int, xi, gamma, regime: str = AUTO_REGIME) -> Codebook:
     """Build a codebook, picking the construction that matches (xi, gamma).
 
     Auto selection: no jitter -> gcd code (unbounded drift) or drift chains
-    (finite drift); no drift -> jitter chain code; otherwise the two-pulse
-    jitter constructions.
+    (finite drift), except that one pulse with neither jitter nor drift gets
+    the perfect-sync code; no drift -> jitter chain code; otherwise the
+    two-pulse jitter constructions.
     """
     spec = ChannelSpec(xi, gamma)
     xi, gamma = spec.xi, spec.gamma
     if regime == AUTO_REGIME:
-        if xi == 1:
+        if xi == 1 and gamma == 1 and k == 1:
+            regime = "perfect-sync"
+        elif xi == 1:
             regime = "gcd" if spec.unbounded_drift else "bounded-drift"
         elif gamma == 1:
             regime = "jitter"

@@ -14,9 +14,9 @@ construction or pairwise checks.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from typing import Iterable, Sequence, Union
 
 __all__ = [
@@ -223,7 +223,9 @@ class Codebook:
         return len(self.codewords)
 
     def __contains__(self, runs) -> bool:
-        return tuple(runs) in set(self.codewords)
+        runs = tuple(runs)
+        i = bisect_left(self.codewords, runs)
+        return i < len(self.codewords) and self.codewords[i] == runs
 
     @property
     def rate(self) -> float:
@@ -236,19 +238,30 @@ def enumerate_inputs(k: int, m: int) -> list[Runs]:
     There are exactly C(m, k) of them: a run vector is equivalent to a choice
     of k pulse positions among m bins, and position order maps to run order.
     """
+    return _run_vectors(k, m, range(1, m + 1))
+
+
+def _run_vectors(k: int, m: int, alphabet: Sequence[int]) -> list[Runs]:
+    """Vectors of k runs from a sorted alphabet holding 1, summing to <= m,
+    in lexicographic order."""
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     if m < k:
         raise EmptyDomainError(f"no inputs with {k} pulses in {m} bins")
-    out = []
-    for positions in combinations(range(1, m + 1), k):
-        prev = 0
-        runs = []
-        for p in positions:
-            runs.append(p - prev)
-            prev = p
-        out.append(tuple(runs))
-    return out
+    # extend every prefix, in order, by each run that leaves a bin for each
+    # run still to come; each prefix carries the bins it has left
+    prefixes = [((), m)]
+    for later in range(k - 1, 0, -1):
+        prefixes = [
+            (prefix + (r,), left - r)
+            for prefix, left in prefixes
+            for r in alphabet[: bisect_right(alphabet, left - later)]
+        ]
+    return [
+        prefix + (r,)
+        for prefix, left in prefixes
+        for r in alphabet[: bisect_right(alphabet, left)]
+    ]
 
 
 def gcd_of(runs: Sequence[int]) -> int:

@@ -43,6 +43,17 @@ class TestConstruct:
         assert code == 1
         assert "single run" in err
 
+    def test_k1_without_drift_is_perfect_sync(self, capsys, tmp_path):
+        path = tmp_path / "k1.code"
+        code, out, _ = run(capsys, "construct", "--k", "1", "--M", "65",
+                           "--xi", "1", "--gamma", "1", "--out", str(path))
+        assert code == 0
+        assert out == "size=65 rate=6.0224\n"
+        assert load_codebook(path).regime == "perfect-sync"
+        code, out, _ = run(capsys, "simulate", "--code", str(path))
+        assert code == 0
+        assert out == "trials=260 failures=0\n"
+
     def test_k3_jitter_exits_1(self, capsys):
         code, _, err = run(capsys, "construct", "--k", "3", "--M", "20",
                            "--xi", "2", "--gamma", "inf")
@@ -122,6 +133,22 @@ class TestSweep:
             "--k", "2", "--M", "10", "--xi", "1",
         )
         assert code == 1
+
+    def test_oversized_range_exits_1(self, capsys):
+        code, out, err = run(
+            capsys, "sweep", "--param", "xi", "--values", "1:2:1/1000000000",
+            "--k", "2", "--M", "10",
+        )
+        assert code == 1 and out == ""
+        assert "1000000001 points" in err
+
+    def test_empty_range_exits_1(self, capsys):
+        code, out, err = run(
+            capsys, "sweep", "--param", "xi", "--values", "2:1:1/10",
+            "--k", "2", "--M", "10",
+        )
+        assert code == 1 and out == ""
+        assert "empty value grid" in err
 
     def test_missing_m_exits_1(self, capsys):
         code, _, _ = run(capsys, "sweep", "--param", "xi", "--values", "1", "--k", "2")

@@ -1,8 +1,10 @@
 import math
+from bisect import bisect_right
 from fractions import Fraction as F
 from itertools import combinations
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from driftppm.core import (
     INFINITY,
@@ -44,6 +46,38 @@ def totient(n):
     if n > 1:
         result -= result // n
     return result
+
+
+def fraction_multipliers(step, limit):
+    """The greedy chain by exact Fraction arithmetic: d -> floor(step * d) + 1."""
+    out = [1] if limit >= 1 else []
+    while out and math.floor(step * out[-1]) + 1 <= limit:
+        out.append(math.floor(step * out[-1]) + 1)
+    return out
+
+
+def sorted_ratio_set(m):
+    """Ratios x2/x1 of the gcd-1 pairs, sorted as Fractions."""
+    return sorted(F(b, a) for a, b in code_gcd(2, m).codewords)
+
+
+def ratio_ascent(m, xi):
+    """Greedy ratio ascent by bisection over the sorted ratio set."""
+    ratios = sorted_ratio_set(m)
+    words, idx = [], 0
+    while idx < len(ratios):
+        u = ratios[idx]
+        words.append((u.denominator, u.numerator))
+        idx = bisect_right(ratios, xi * xi * u)
+    return words
+
+
+def chain_union(bases, step, m):
+    """Sorted union of the drift chains of every base."""
+    return sorted({w for base in bases for w in multiples_chain(base, step, m)})
+
+
+CHAIN_RATIOS = [F(1), F(21, 20), F(3, 2), F(7, 4), F(4), INFINITY]
 
 
 class TestCodeGcd:
@@ -123,6 +157,14 @@ class TestChains:
     def test_infinite_step(self):
         assert geometric_multipliers(INFINITY, 100) == [1]
 
+    @given(st.integers(1, 12), st.integers(0, 40), st.integers(0, 3000))
+    @example(2, 2, 100)  # step 2: every step * d is an integer
+    @example(2, 1, 100)  # step 3/2: every other one is
+    @settings(max_examples=200)
+    def test_matches_fraction_recurrence(self, q, extra, limit):
+        step = F(q + extra, q)
+        assert geometric_multipliers(step, limit) == fraction_multipliers(step, limit)
+
 
 class TestCodeBoundedDrift:
     def test_headline_rate(self):
@@ -137,6 +179,14 @@ class TestCodeBoundedDrift:
 
     def test_large_gamma_adds_nothing(self):
         assert code_bounded_drift(2, 65, 64).codewords == code_gcd(2, 65).codewords
+
+    @given(st.sampled_from(CHAIN_RATIOS), st.integers(2, 3), st.integers(0, 30))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_chain_union(self, gamma, k, extra):
+        m = k + extra
+        bases = [x for x in enumerate_inputs(k, m) if gcd_of(x) == 1]
+        expected = chain_union(bases, gamma, m)
+        assert list(code_bounded_drift(k, m, gamma).codewords) == expected
 
     def test_contains_gcd_code(self):
         for gamma in (F(3, 2), F(7, 4), 4):
@@ -161,6 +211,14 @@ class TestCodeJitter:
         for cw in code_jitter(3, 30, F(3, 2)).codewords:
             assert set(cw) <= alphabet
 
+    @given(st.sampled_from(CHAIN_RATIOS[:-1]), st.integers(1, 4), st.integers(0, 16))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_filtered_inputs(self, xi, k, extra):
+        m = k + extra
+        alphabet = set(jitter_chain(m, xi))
+        expected = [x for x in enumerate_inputs(k, m) if set(x) <= alphabet]
+        assert list(code_jitter(k, m, xi).codewords) == expected
+
 
 class TestRatioSet:
     def test_three_bins(self):
@@ -179,6 +237,11 @@ class TestRatioSet:
     def test_too_small(self):
         with pytest.raises(EmptyDomainError):
             ratio_set(1)
+
+    @given(st.integers(2, 80))
+    @settings(max_examples=40)
+    def test_matches_sorted_gcd_code(self, m):
+        assert ratio_set(m) == sorted_ratio_set(m)
 
 
 class TestCodeJitterUnboundedDrift:
@@ -201,6 +264,12 @@ class TestCodeJitterUnboundedDrift:
                 code_gcd(2, 30).codewords
             )
 
+    @given(st.sampled_from(CHAIN_RATIOS[:-1]), st.integers(2, 80))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_bisection_ascent(self, xi, m):
+        cb = code_jitter_unbounded_drift(m, xi)
+        assert list(cb.codewords) == sorted(ratio_ascent(m, xi))
+
     def test_ratio_gaps_exceed_xi_squared(self):
         xi = F(3, 2)
         cb = code_jitter_unbounded_drift(20, xi)
@@ -214,6 +283,17 @@ class TestCodeJitterBoundedDrift:
         cb = code_jitter_bounded_drift(65, 1, F(7, 4))
         assert cb.codewords == code_bounded_drift(2, 65, F(7, 4)).codewords
         assert rate_bits(cb) == pytest.approx(10.76155, abs=5e-4)
+
+    @given(
+        st.sampled_from(CHAIN_RATIOS[:-1]),
+        st.sampled_from(CHAIN_RATIOS),
+        st.integers(2, 80),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_matches_chain_union(self, xi, gamma, m):
+        step = INFINITY if gamma == INFINITY else gamma * xi
+        expected = chain_union(ratio_ascent(m, xi), step, m)
+        assert list(code_jitter_bounded_drift(m, xi, gamma).codewords) == expected
 
     def test_tight_frame_blocks_multiples(self):
         cb = code_jitter_bounded_drift(5, F(3, 2), 1)
@@ -290,6 +370,11 @@ class TestConstructDispatch:
     )
     def test_auto_selection(self, xi, gamma, regime):
         assert construct(2, 12, xi, gamma).regime == regime
+
+    def test_one_pulse_without_drift_is_perfect_sync(self):
+        cb = construct(1, 12, 1, 1)
+        assert cb.regime == "perfect-sync"
+        assert cb.codewords == perfect_sync_code(1, 12).codewords
 
     def test_explicit_regime(self):
         assert construct(2, 12, 1, 1, "perfect-sync").regime == "perfect-sync"

@@ -1,5 +1,6 @@
 import math
 from fractions import Fraction as F
+from itertools import combinations
 
 import pytest
 from hypothesis import given, strategies as st
@@ -18,6 +19,14 @@ from driftppm.core import (
     rate_bits,
     ratio_vector,
 )
+
+
+def combination_inputs(k, m):
+    """Inputs from pulse positions: the runs between k of the bins 1..m."""
+    out = []
+    for positions in combinations(range(1, m + 1), k):
+        out.append(tuple(b - a for a, b in zip((0,) + positions, positions)))
+    return out
 
 
 def brute_force_inputs(k, m):
@@ -52,6 +61,10 @@ class TestEnumerateInputs:
         for k in range(1, 5):
             for m in range(k, 9):
                 assert enumerate_inputs(k, m) == sorted(brute_force_inputs(k, m))
+
+    @given(st.integers(1, 4), st.integers(0, 10))
+    def test_matches_pulse_positions(self, k, extra):
+        assert enumerate_inputs(k, k + extra) == combination_inputs(k, k + extra)
 
     def test_lexicographic_order(self):
         inputs = enumerate_inputs(3, 9)
@@ -209,3 +222,5 @@ class TestCodebook:
         cb = Codebook.build(2, 5, ChannelSpec(1, 1), "custom", [(2, 1), (1, 1), (2, 1)])
         assert cb.codewords == ((1, 1), (2, 1))
         assert (2, 1) in cb and (1, 2) not in cb
+        assert [2, 1] in cb and [1, 2] not in cb and [] not in cb
+        assert (1,) not in cb and (1, 1, 1) not in cb and (2, 1, 0) not in cb
