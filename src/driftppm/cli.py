@@ -16,6 +16,7 @@ from fractions import Fraction
 
 from .core import (
     INFINITY,
+    REGIMES,
     ChannelSpec,
     UnsupportedRegimeError,
     format_ratio,
@@ -88,15 +89,7 @@ def _build_parser() -> _Parser:
     p.add_argument(
         "--regime",
         default=AUTO_REGIME,
-        choices=(
-            AUTO_REGIME,
-            "gcd",
-            "bounded-drift",
-            "jitter",
-            "jitter-unbounded-drift",
-            "jitter-bounded-drift",
-            "perfect-sync",
-        ),
+        choices=(AUTO_REGIME, *(r for r in REGIMES if r != "custom")),
         help="construction to use; auto picks from (xi, gamma)",
     )
     p.add_argument("--out", help="write the codebook file here")

@@ -58,8 +58,8 @@ __all__ = [
 ]
 
 _K1_DRIFT_REASON = (
-    "k=1 cannot signal under clock drift: a single run can be stretched onto "
-    "any other, so all inputs collide"
+    "k=1 cannot signal under unbounded clock drift: a single run can be "
+    "stretched onto any other, so all inputs collide"
 )
 _K2_ONLY_REASON = (
     "the jitter-with-drift constructions are defined for exactly two pulses; "
@@ -114,7 +114,7 @@ def multiples_chain(runs: Sequence[int], gamma, m: int) -> list[Runs]:
 def _by_gcd(k: int, m: int, step, bases=None) -> tuple[Runs, ...]:
     """Inputs, in order, whose gcd is on the chain of step (and, given bases,
     whose primitive vector is one of them)."""
-    if k == 1:
+    if k == 1 and step == INFINITY:
         raise UnsupportedRegimeError(_K1_DRIFT_REASON)
     inputs, chain = enumerate_inputs(k, m), set(geometric_multipliers(step, m))
     return tuple(x for x in inputs if (g := math.gcd(*x)) in chain

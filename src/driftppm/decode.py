@@ -9,9 +9,14 @@ codebook and an in-spec observation exactly one codeword survives.
 The fast decoder follows the structured per-regime procedures instead: ratio
 lookup plus a multiplier window for the drift-chain codes, and independent
 per-run windows for the no-drift codes.  Both decoders are exact; float
-observations widen every comparison by a relative tolerance.  An exact
-observation without jitter (xi = 1) is a multiple of the sent codeword, so
-both decoders look its candidates up by primitive vector (x / gcd(x)).
+observations widen every comparison by a relative tolerance.
+
+Both decoders draw their candidates from one index: the codewords grouped by
+primitive vector (x / gcd(x)).  An exact observation without jitter (xi = 1)
+is a multiple of the sent codeword, so it picks its group by lookup; any
+other observation picks the groups whose first ratio x_2/x_1 lies within a
+jitter factor of the observed one (every group, for one run).  The decoders
+share only which words they look at: each decides membership on its own.
 
 Out-of-spec signals raise NoCodewordError -- a receiver-side convention, not
 a channel-model claim; ambiguity always raises, never tie-breaks.
@@ -21,6 +26,7 @@ from __future__ import annotations
 
 import math
 import weakref
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from typing import Optional
 
@@ -59,24 +65,14 @@ class AmbiguityError(DecodeError):
         self.candidates = tuple(candidates)
 
 
-def _bisect_left_frac(nums, dens, tn, td):
-    """First index with nums[i]/dens[i] >= tn/td (arrays sorted ascending)."""
+def _bisect_ratio(nums, dens, tn, td, right=False):
+    """bisect_left (bisect_right if right) of tn/td in the ascending ratios
+    nums[i]/dens[i], compared by cross-multiplication."""
     lo, hi = 0, len(nums)
     while lo < hi:
         mid = (lo + hi) // 2
-        if nums[mid] * td < tn * dens[mid]:
-            lo = mid + 1
-        else:
-            hi = mid
-    return lo
-
-
-def _bisect_right_frac(nums, dens, tn, td):
-    """First index with nums[i]/dens[i] > tn/td."""
-    lo, hi = 0, len(nums)
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if nums[mid] * td <= tn * dens[mid]:
+        diff = nums[mid] * td - tn * dens[mid]
+        if diff < 0 or (right and diff == 0):
             lo = mid + 1
         else:
             hi = mid
@@ -127,9 +123,8 @@ class Decoder:
         self.k = codebook.k
         self.regime = codebook.regime
         self.words = codebook.codewords
-        self._general = None
         self._by_primitive = None
-        self._chain = None
+        self._ratio = None
         self._alphabet = None
 
     @property
@@ -147,54 +142,52 @@ class Decoder:
             self._by_primitive = groups
         return self._by_primitive
 
-    # -- general consistency decoding ------------------------------------
+    def _ratio_index(self):
+        # primitive groups sorted by their ratio base_2/base_1, kept as int
+        # pairs for the bisection
+        if self._ratio is None:
+            entries = sorted(
+                self._primitive_index().items(),
+                key=lambda entry: Fraction(entry[0][1], entry[0][0]),
+            )
+            nums = [base[1] for base, _ in entries]
+            dens = [base[0] for base, _ in entries]
+            self._ratio = (entries, nums, dens)
+        return self._ratio
 
-    def _general_index(self):
-        # codewords sorted by x_1 (k=1) or by the ratio x_2/x_1, kept as int
-        # pairs so queries never touch Fraction objects
-        if self._general is None:
-            if self.k == 1:
-                order = list(self.words)  # lex order = sorted by the only run
-                nums = [w[0] for w in order]
-                dens = [1] * len(order)
-            else:
-                order = sorted(self.words, key=lambda w: Fraction(w[1], w[0]))
-                nums = [w[1] for w in order]
-                dens = [w[0] for w in order]
-            self._general = (order, nums, dens)
-        return self._general
+    def _groups(self, a, b, p, q):
+        """(primitive vector, codewords) groups that can hold a codeword
+        consistent with the observation [a, b]; both decoders scan these."""
+        if p == q and a == b:
+            # jitterless exact observation Y = T*x: a consistent codeword
+            # has the observation's primitive vector
+            base = _primitive(a)
+            return [(base, self._primitive_index().get(base, ()))]
+        if self.k == 1:
+            return self._primitive_index().items()  # one group, (1,); no ratio
+        # ratio window: x2/x1 must lie within a jitter factor of the observed
+        # ratio interval [a2/b1, b2/a1]
+        entries, nums, dens = self._ratio_index()
+        i0 = _bisect_ratio(nums, dens, a[1] * q, b[0] * p)
+        i1 = _bisect_ratio(nums, dens, b[1] * p, a[0] * q, right=True)
+        return entries[i0:i1]
+
+    # -- general consistency decoding ------------------------------------
 
     def consistent_ints(self, a, b, d, p, q, g, h, finite) -> list[Runs]:
         """All codewords consistent with the observation [a, b]/d."""
-        if self.k > 1 and p == q and a == b:
-            # jitterless exact observation Y = T*x: a consistent codeword
-            # has the observation's primitive vector
-            candidates = self._primitive_index().get(_primitive(a), ())
-        else:
-            order, nums, dens = self._general_index()
-            if self.k == 1:
-                # T*Z_1*x_1 must land in the observed interval
-                i0 = 0
-                if finite:
-                    # x_1 >= lo/(gamma*xi): smallest index with x*g*p*d >= a*h*q
-                    i0 = _bisect_left_frac(nums, dens, a[0] * h * q, g * p * d)
-                return order[i0:_bisect_right_frac(nums, dens, b[0], d)]
-            # ratio window: x2/x1 must lie within a jitter factor of the
-            # observed ratio interval [a2/b1, b2/a1]
-            i0 = _bisect_left_frac(nums, dens, a[1] * q, b[0] * p)
-            i1 = _bisect_right_frac(nums, dens, b[1] * p, a[0] * q)
-            candidates = order[i0:i1]
         out = []
         gpd = g * p * d
         hq = h * q
         b0 = b[0]
         a0hq = a[0] * hq
-        for x in candidates:
-            x1 = x[0]  # inline first-run window; kills most candidates cheaply
-            if b0 < d * x1 or (finite and a0hq > gpd * x1):
-                continue
-            if self._feasible(x, a, b, d, p, q, gpd, hq, finite):
-                out.append(x)
+        for _, words in self._groups(a, b, p, q):
+            for x in words:
+                x1 = x[0]  # inline first-run window; kills most candidates cheaply
+                if b0 < d * x1 or (finite and a0hq > gpd * x1):
+                    continue
+                if self._feasible(x, a, b, d, p, q, gpd, hq, finite):
+                    out.append(x)
         out.sort()
         return out
 
@@ -226,19 +219,6 @@ class Decoder:
     )
     _ALPHABET_REGIMES = ("jitter", "perfect-sync")
 
-    def _chain_index(self):
-        # primitive groups sorted by their ratio base_2/base_1, kept as int
-        # pairs for the bisection
-        if self._chain is None:
-            entries = sorted(
-                self._primitive_index().items(),
-                key=lambda entry: Fraction(entry[0][1], entry[0][0]),
-            )
-            nums = [base[1] for base, _ in entries]
-            dens = [base[0] for base, _ in entries]
-            self._chain = (entries, nums, dens)
-        return self._chain
-
     def _alphabet_index(self):
         if self._alphabet is None:
             alphabet = sorted({run for w in self.words for run in w})
@@ -254,20 +234,8 @@ class Decoder:
         raise ValueError(f"no structured decoder for regime {self.regime!r}")
 
     def _fast_chain(self, a, b, d, p, q, g, h, finite):
-        if self.k < 2:
-            raise ValueError(f"regime {self.regime!r} needs at least two runs")
-        if p == q and a == b:
-            # jitterless exact: the observation's primitive vector pins the group
-            base = _primitive(a)
-            entries = [(base, self._primitive_index().get(base, ()))]
-        else:
-            # groups whose first ratio sits in the observed window
-            entries, nums, dens = self._chain_index()
-            i0 = _bisect_left_frac(nums, dens, a[1] * q, b[0] * p)
-            i1 = _bisect_right_frac(nums, dens, b[1] * p, a[0] * q)
-            entries = entries[i0:i1]
         matches = []
-        for base, words in entries:
+        for base, words in self._groups(a, b, p, q):
             x1 = base[0]
             for c in range(2, self.k):
                 # window on ratio c: [a_c/(b_1*xi), b_c*xi/a_1]
@@ -289,25 +257,12 @@ class Decoder:
         alphabet, wordset = self._alphabet_index()
         runs = []
         for i in range(self.k):
-            lo = 0
-            hi = len(alphabet)
-            while lo < hi:  # first l with p*d*l >= a_i*q
-                mid = (lo + hi) // 2
-                if alphabet[mid] * p * d < a[i] * q:
-                    lo = mid + 1
-                else:
-                    hi = mid
-            i0 = lo
-            hi = len(alphabet)
-            while lo < hi:  # first l with d*l > b_i
-                mid = (lo + hi) // 2
-                if alphabet[mid] * d <= b[i]:
-                    lo = mid + 1
-                else:
-                    hi = mid
-            if lo == i0:
+            # every run is an integer: p*d*l >= a_i*q and d*l <= b_i
+            i0 = bisect_left(alphabet, -(-a[i] * q // (p * d)))
+            i1 = bisect_right(alphabet, b[i] // d)
+            if i1 == i0:
                 return []
-            if lo - i0 > 1:
+            if i1 - i0 > 1:
                 raise AmbiguityError(
                     f"run {i + 1} matches several alphabet values", ()
                 )

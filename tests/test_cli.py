@@ -54,6 +54,18 @@ class TestConstruct:
         assert code == 0
         assert out == "trials=260 failures=0\n"
 
+    def test_k1_finite_drift_round_trips(self, capsys, tmp_path):
+        path = tmp_path / "k1.code"
+        code, out, _ = run(capsys, "construct", "--k", "1", "--M", "65",
+                           "--xi", "1", "--gamma", "7/4", "--out", str(path))
+        assert (code, out) == (0, "size=7 rate=2.8074\n")
+        assert load_codebook(path).regime == "bounded-drift"
+        code, out, _ = run(capsys, "simulate", "--code", str(path))
+        assert (code, out) == (0, "trials=28 failures=0\n")
+        code, out, _ = run(capsys, "simulate", "--code", str(path),
+                           "--mode", "uniform", "--trials", "500")
+        assert (code, out) == (0, "trials=500 failures=0\n")
+
     def test_k3_jitter_exits_1(self, capsys):
         code, _, err = run(capsys, "construct", "--k", "3", "--M", "20",
                            "--xi", "2", "--gamma", "inf")

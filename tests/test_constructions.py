@@ -31,6 +31,7 @@ from driftppm.constructions import (
     ratio_set,
 )
 from driftppm.distinguish import indistinguishable
+from driftppm.oracle import optimal_code_bruteforce
 
 
 def totient(n):
@@ -187,6 +188,15 @@ class TestCodeBoundedDrift:
         bases = [x for x in enumerate_inputs(k, m) if gcd_of(x) == 1]
         expected = chain_union(bases, gamma, m)
         assert list(code_bounded_drift(k, m, gamma).codewords) == expected
+
+    @pytest.mark.parametrize("gamma", [1, F(3, 2), F(7, 4), 4])
+    @pytest.mark.parametrize("m", [5, 12, 40])
+    def test_one_pulse_is_optimal(self, gamma, m):
+        # one run: the code is the chain itself, and no larger code exists
+        cb = code_bounded_drift(1, m, gamma)
+        assert cb.codewords == tuple((d,) for d in geometric_multipliers(gamma, m))
+        best = optimal_code_bruteforce(1, m, ChannelSpec(1, gamma))
+        assert best.exact and len(best.codebook) == len(cb)
 
     def test_contains_gcd_code(self):
         for gamma in (F(3, 2), F(7, 4), 4):
@@ -386,5 +396,10 @@ class TestConstructDispatch:
             construct(3, 12, 2, F(7, 4))
 
     def test_k1_drift_unsupported(self):
-        with pytest.raises(UnsupportedRegimeError):
+        with pytest.raises(UnsupportedRegimeError, match="unbounded"):
             construct(1, 12, 1, INFINITY)
+
+    def test_k1_finite_drift_is_a_chain(self):
+        cb = construct(1, 65, 1, F(7, 4))
+        assert cb.regime == "bounded-drift"
+        assert cb.codewords == ((1,), (2,), (4,), (8,), (15,), (27,), (48,))

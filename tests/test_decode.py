@@ -16,7 +16,9 @@ from driftppm.constructions import (
     perfect_sync_code,
 )
 from driftppm.decode import (
+    DEFAULT_FLOAT_TOLERANCE,
     AmbiguityError,
+    DecodeError,
     Decoder,
     NoCodewordError,
     consistent_codewords,
@@ -205,28 +207,35 @@ def _multiples_of(data, k):
 
 class TestJitterlessLookup:
     @given(st.data())
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=200, deadline=None)
     def test_matches_feasibility_scan(self, data):
         # several candidates per primitive vector, T inside and outside
-        # [1, gamma], and observations proportional to no codeword
-        k = data.draw(st.integers(2, 3))
+        # [1, gamma], jittered and float observations, and observations
+        # proportional to no codeword: the shared candidate groups drop
+        # nothing the brute-force scan keeps
+        k = data.draw(st.integers(1, 3))
         book = _multiples_of(data, k)
         word = data.draw(st.sampled_from(book.codewords))
         lam = data.draw(st.fractions(F(1, 4), 6, max_denominator=12))
-        values = [lam * r for r in word]
+        xi = data.draw(st.sampled_from([F(1), F(21, 20), F(3, 2)]))
+        unit = st.fractions(0, 1, max_denominator=8)
+        values = [lam * (1 + (xi - 1) * data.draw(unit)) * r for r in word]
         if data.draw(st.integers(0, 3)) == 0:
             values[data.draw(st.integers(0, k - 1))] += data.draw(
                 st.fractions(F(1, 8), 2, max_denominator=8)
             )
+        signal = exact(*values)
+        if data.draw(st.booleans()):
+            signal = signal.as_floats()
         gamma = data.draw(st.sampled_from([F(1), F(7, 4), F(4), INFINITY]))
-        p, q, g, h, finite = spec_ints = _spec_ints(ChannelSpec(1, gamma))
-        a, d = _exact_ints(values)
+        p, q, g, h, finite = spec_ints = _spec_ints(ChannelSpec(xi, gamma))
+        a, b, d = _normalize_signal(signal, None)
         decoder = Decoder(book)
         scan = [
             w for w in book.codewords
-            if decoder._feasible(w, a, a, d, p, q, g * p * d, h * q, finite)
+            if decoder._feasible(w, a, b, d, p, q, g * p * d, h * q, finite)
         ]
-        assert decoder.consistent_ints(a, a, d, *spec_ints) == scan
+        assert decoder.consistent_ints(a, b, d, *spec_ints) == scan
 
     def test_all_multiples_in_window(self):
         book = Codebook(2, 20, ChannelSpec(1, INFINITY), "custom", ((1, 2), (2, 4), (3, 6), (4, 7)))
@@ -244,6 +253,9 @@ CONSTRUCTED = [
     code_jitter(2, 30, F(3, 2)),
     code_jitter_unbounded_drift(30, F(3, 2)),
     code_jitter_bounded_drift(30, F(3, 2), F(7, 4)),
+    code_jitter(1, 30, F(3, 2)),
+    perfect_sync_code(1, 12),
+    code_bounded_drift(1, 65, F(7, 4)),
 ]
 
 
@@ -271,3 +283,36 @@ class TestFastMatchesGeneral:
         assert decoder.fast_ints(a, a, d, *spec_ints) == general
         if spec.xi > 1:
             assert general == [word]
+
+
+class TestFloatTolerance:
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_near_the_tolerance(self, data):
+        # endpoint and interior realizations seen as floats with relative
+        # noise around the tolerance: never a wrong word; below half the
+        # tolerance the sent word always stays consistent
+        book = data.draw(st.sampled_from(CONSTRUCTED))
+        word = data.draw(st.sampled_from(book.codewords))
+        spec = book.spec
+        hi_t = F(6) if spec.unbounded_drift else spec.gamma
+        corner = st.sampled_from([F(0), F(1)])
+        factor = st.one_of(corner, st.fractions(0, 1, max_denominator=64))
+        t = 1 + (hi_t - 1) * data.draw(factor)
+        z = [1 + (spec.xi - 1) * data.draw(factor) for _ in word]
+        y = transmit(word, ChannelRealization(t, z))
+        tol = DEFAULT_FLOAT_TOLERANCE
+        near = data.draw(st.booleans())
+        noisy = []
+        for v in y.values:
+            u = F(data.draw(st.integers(0, 1000)), 1000)
+            eps = tol / 2 + 3 * tol / 2 * u if near else tol / 2 * u * F(999, 1000)
+            noisy.append(float(v * (1 + data.draw(st.sampled_from([-1, 1])) * eps)))
+        signal = ObservedSignal.from_floats(noisy)
+        for decode_fn in (decode, decode_fast):
+            try:
+                assert decode_fn(signal, book) == word
+            except NoCodewordError:
+                assert near
+            except DecodeError:
+                pass
