@@ -10,10 +10,22 @@ indistinguishable iff those intervals have a common point.
 
 A single predicate backs every regime; the per-regime closed forms live only
 in the test suite as independent oracles.
+
+The confusable pairs of a list of inputs are found without testing all n^2
+pairs.  With m_lo and m_hi the least and greatest x_c/y_c, the intervals meet
+iff m_hi <= xi^2 * m_lo, m_hi <= gamma*xi and m_lo >= 1/(gamma*xi).  So for
+k >= 2 the first ratios s = x_2/x_1 of a confusable pair differ by at most a
+factor xi^2: s(x)/s(y) = (x_2/y_2)/(x_1/y_1) lies in [m_lo/m_hi, m_hi/m_lo],
+inside [1/xi^2, xi^2].  For k = 1 the one ratio x/y lies in
+[1/(gamma*xi), gamma*xi], and every pair qualifies when gamma is infinite.
+The inputs are sorted once by that key, and every pair inside a window of
+that factor is a candidate.  A float may locate a window, with a margin that
+keeps every confusable pair; the exact test decides every candidate.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -92,74 +104,174 @@ def confusion_graph(inputs: Sequence[Sequence[int]], spec: ChannelSpec) -> Confu
                 raise ValueError("all inputs must have the same number of runs")
     if len(set(vertices)) != len(vertices):
         raise ValueError("duplicate inputs")
-    masks = [0] * len(vertices)
-    for i, row in _pairwise_rows(vertices, spec):
-        row[i] = False
-        bits = int.from_bytes(
-            np.packbits(row, bitorder="little").tobytes(), "little"
-        )
-        masks[i] = bits
-    return ConfusionGraph(vertices, spec, tuple(masks))
+    n = len(vertices)
+    scan = scan_pairs(vertices, spec)
+    # one byte per vertex pair, rows padded to whole bytes, packed to bits
+    width = -(-n // 8) * 8
+    bits = np.zeros(n * width, dtype=bool)
+    bits[scan.first * width + scan.second] = True
+    bits[scan.second * width + scan.first] = True
+    rows = np.packbits(bits, bitorder="little").reshape(n, width // 8)
+    masks = tuple(int.from_bytes(row.tobytes(), "little") for row in rows)
+    return ConfusionGraph(vertices, spec, masks)
+
+
+@dataclass(frozen=True)
+class PairScan:
+    """Indistinguishable pairs of a vertex list and how they were found.
+
+    Pair t is (first[t], second[t]), first < second, in ascending order.
+    ``candidates`` pairs reached the exact test, which ran as ``kernel``:
+    "int64" (vectorized) or "scalar" (`indistinguishable` per pair).
+    """
+
+    first: np.ndarray
+    second: np.ndarray
+    candidates: int
+    kernel: str
+
+    def pairs(self) -> list[tuple[int, int]]:
+        return list(zip(self.first.tolist(), self.second.tolist()))
 
 
 def indistinguishable_pairs(vertices: Sequence[Runs], spec: ChannelSpec):
-    """Yield (i, j) with i < j for every indistinguishable pair."""
-    vertices = [tuple(v) for v in vertices]
-    for i, row in _pairwise_rows(vertices, spec):
-        for j in np.nonzero(row[i + 1 :])[0]:
-            yield i, i + 1 + int(j)
+    """Yield (i, j) with i < j for every indistinguishable pair, ascending."""
+    yield from scan_pairs(vertices, spec).pairs()
 
 
 # int64 products in the vectorized kernel stay below this; larger parameter
 # combinations fall back to the exact scalar predicate.
 _INT64_GUARD = 1 << 62
+# Window keys are located in floats only for runs below this, where every
+# run converts to a float exactly.
+_FLOAT_EXACT = 1 << 53
+# Relative margin on a float window end.  Keys x_2/x_1 of runs below
+# _FLOAT_EXACT, the factor, its product with the margin and each key's
+# product with that are correctly rounded, each within u = 2^-53.  If the
+# exact keys satisfy s_b <= factor * s_a, the float key of b exceeds the
+# float key of a times the factor by at most (1+u)/(1-u), while the computed
+# window end is at least that product times (1-u)^3 * _MARGIN, which is
+# larger.  Rounding is monotone, so sorting by float keys keeps exact order
+# up to ties, and ties share a window.  No confusable pair is dropped.
+_MARGIN = 1 + 2.0**-32
+# Candidate pairs tested per batch, which bounds the kernel's memory.
+_BATCH = 1 << 13
 
 
-def _pairwise_rows(vertices, spec):
-    """Yield (i, boolean row of indistinguishability vs all vertices).
-
-    Vectorization of the same interval test as `indistinguishable`: with
-    m_hi = max_i x_i/y_i and m_lo = min_i x_i/y_i, the pair is
-    indistinguishable iff m_hi <= xi^2 * m_lo, m_hi <= gamma*xi, and
-    m_lo >= 1/(gamma*xi).
-    """
-    n = len(vertices)
-    if n == 0:
-        return
+def scan_pairs(vertices: Sequence[Runs], spec: ChannelSpec) -> PairScan:
+    """Every indistinguishable pair of vertices, by the candidate window."""
+    vertices = list(vertices)
     p, q = spec.xi.numerator, spec.xi.denominator
     finite = not spec.unbounded_drift
     g, h = (spec.gamma.numerator, spec.gamma.denominator) if finite else (1, 1)
-    mx = max(max(v) for v in vertices)
-    bound = max(p * p, q * q, g * p, h * q) * mx * mx
-    if bound >= _INT64_GUARD:
-        for i in range(n):
-            row = np.fromiter(
-                (indistinguishable(vertices[i], y, spec) for y in vertices),
-                dtype=bool,
-                count=n,
-            )
-            yield i, row
-        return
+    try:
+        arr = np.asarray(vertices, dtype=np.int64)
+    except OverflowError:
+        arr = None
+    mx = max(max(v) for v in vertices) if arr is None else int(arr.max(initial=0))
+    scalar = max(p * p, q * q, g * p, h * q) * mx * mx >= _INT64_GUARD
+    if mx >= _FLOAT_EXACT:
+        arr = None
+    if scalar:
 
-    arr = np.asarray(vertices, dtype=np.int64)
-    k = arr.shape[1]
-    for i in range(n):
-        x = arr[i]
-        # running max/min of the coordinate ratios x_c / y_c as num/den pairs
-        hi_num = np.full(n, x[0], dtype=np.int64)
-        hi_den = arr[:, 0].copy()
-        lo_num = hi_num.copy()
-        lo_den = hi_den.copy()
-        for c in range(1, k):
-            yc = arr[:, c]
-            bigger = x[c] * hi_den > hi_num * yc
-            hi_num = np.where(bigger, x[c], hi_num)
-            hi_den = np.where(bigger, yc, hi_den)
-            smaller = x[c] * lo_den < lo_num * yc
-            lo_num = np.where(smaller, x[c], lo_num)
-            lo_den = np.where(smaller, yc, lo_den)
-        row = hi_num * lo_den * (q * q) <= lo_num * hi_den * (p * p)
-        if finite:
-            row &= hi_num * (h * q) <= hi_den * (g * p)
-            row &= lo_num * (g * p) >= lo_den * (h * q)
-        yield i, row
+        def exact(i, j):
+            return np.fromiter(
+                (
+                    indistinguishable(vertices[a], vertices[b], spec)
+                    for a, b in zip(i.tolist(), j.tolist())
+                ),
+                dtype=bool,
+                count=len(i),
+            )
+
+    else:
+        columns = [np.ascontiguousarray(c) for c in arr.T]
+
+        def exact(i, j):
+            return _int64_kernel(columns, i, j, p, q, g, h, finite)
+
+    # each unordered pair is found once; key it by its (low, high) index
+    n = len(vertices)
+    keys = []
+    candidates = 0
+    for i, j in _candidates(vertices, arr, spec):
+        candidates += len(i)
+        keep = exact(i, j)
+        i, j = i[keep], j[keep]
+        keys.append(np.minimum(i, j) * n + np.maximum(i, j))
+    key = np.concatenate(keys) if keys else np.empty(0, dtype=np.int64)
+    key.sort(kind="stable")
+    first, second = np.divmod(key, n)
+    return PairScan(first, second, candidates, "scalar" if scalar else "int64")
+
+
+def _windows(vertices, arr, spec):
+    """Vertex indices sorted by window key, and for each sorted position the
+    exclusive end of its window."""
+    n = len(vertices)
+    k = len(vertices[0])
+    if k == 1:
+        if spec.unbounded_drift:
+            return np.arange(n), np.full(n, n)
+        num, den, factor = 0, None, spec.gamma * spec.xi
+    else:
+        num, den, factor = 1, 0, spec.xi * spec.xi
+    try:
+        scale = float(factor) * _MARGIN
+    except OverflowError:
+        scale = None
+    if arr is not None and scale is not None:
+        keys = arr[:, num] if den is None else arr[:, num] / arr[:, den]
+        order = np.argsort(keys, kind="stable")
+        keys = keys[order]
+        return order, np.searchsorted(keys, keys * scale, side="right")
+    # exact path: runs or factor too large for a float
+    keys = [Fraction(v[num], 1 if den is None else v[den]) for v in vertices]
+    order = sorted(range(n), key=keys.__getitem__)
+    ranked = [keys[i] for i in order]
+    ends = [bisect_right(ranked, r * factor) for r in ranked]
+    return np.array(order, dtype=np.int64), np.array(ends, dtype=np.int64)
+
+
+def _candidates(vertices, arr, spec):
+    """Yield batches (i, j) of candidate vertex pairs: every pair of sorted
+    positions a < b with b inside a's window, each pair once."""
+    if not vertices:
+        return
+    order, ends = _windows(vertices, arr, spec)
+    n = len(order)
+    counts = ends - np.arange(1, n + 1)
+    stops = np.cumsum(counts)
+    a0 = 0
+    while a0 < n:
+        base = int(stops[a0 - 1]) if a0 else 0
+        a1 = max(a0 + 1, int(np.searchsorted(stops, base + _BATCH, side="right")))
+        c = counts[a0:a1]
+        first = np.repeat(np.arange(a0, a1), c)
+        offset = np.arange(len(first)) - np.repeat(stops[a0:a1] - c - base, c)
+        yield order[first], order[first + 1 + offset]
+        a0 = a1
+
+
+def _int64_kernel(columns, i, j, p, q, g, h, finite):
+    """Interval test on vertex pairs (i, j), vectorized in int64.
+
+    Tracks m_hi = max_c x_c/y_c and m_lo = min_c x_c/y_c as numerator and
+    denominator; the pair is indistinguishable iff m_hi <= xi^2 * m_lo,
+    m_hi <= gamma*xi, and m_lo >= 1/(gamma*xi).
+    """
+    hi_num = lo_num = columns[0][i]
+    hi_den = lo_den = columns[0][j]
+    for col in columns[1:]:
+        xc, yc = col[i], col[j]
+        bigger = xc * hi_den > hi_num * yc
+        hi_num = np.where(bigger, xc, hi_num)
+        hi_den = np.where(bigger, yc, hi_den)
+        smaller = xc * lo_den < lo_num * yc
+        lo_num = np.where(smaller, xc, lo_num)
+        lo_den = np.where(smaller, yc, lo_den)
+    keep = hi_num * lo_den * (q * q) <= lo_num * hi_den * (p * p)
+    if finite:
+        keep &= hi_num * (h * q) <= hi_den * (g * p)
+        keep &= lo_num * (g * p) >= lo_den * (h * q)
+    return keep

@@ -17,8 +17,10 @@ import time
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
+import numpy as np
+
 from .core import ChannelSpec, Codebook, Runs, enumerate_inputs
-from .distinguish import ConfusionGraph, confusion_graph, indistinguishable_pairs
+from .distinguish import ConfusionGraph, confusion_graph, scan_pairs
 
 __all__ = [
     "EXACT",
@@ -131,15 +133,7 @@ def _mis_component(neighbors, comp: int, budget: _Budget) -> list[int]:
         order.append((c & -c).bit_length() - 1)
         c &= c - 1
     order.sort(key=lambda v: neighbors[v].bit_count())
-    rank = {v: i for i, v in enumerate(order)}
-    local = []
-    for v in order:
-        mask = 0
-        c = neighbors[v]
-        while c:
-            mask |= 1 << rank[(c & -c).bit_length() - 1]
-            c &= c - 1
-        local.append(mask)
+    local = _renumber(neighbors, order, comp.bit_length())
     # a greedy incumbent makes budget-exceeded lower bounds useful and
     # lets the very first bound checks prune
     full = (1 << len(order)) - 1
@@ -171,6 +165,22 @@ def _mis_component(neighbors, comp: int, budget: _Budget) -> list[int]:
         if current:
             current.pop()
     return [order[v] for v in best]
+
+
+def _renumber(neighbors, order: list[int], width: int) -> list[int]:
+    """Neighborhoods of order's vertices over their positions in order.
+
+    Bit r of the i-th mask is set iff order[i] and order[r] are adjacent;
+    every neighbor of a vertex in order must itself be in order and below
+    bit ``width``.
+    """
+    size = -(-width // 8)
+    rows = np.frombuffer(
+        b"".join(neighbors[v].to_bytes(size, "little") for v in order), dtype=np.uint8
+    ).reshape(len(order), size)
+    bits = np.unpackbits(rows, axis=1, bitorder="little")[:, order]
+    packed = np.packbits(bits, axis=1, bitorder="little")
+    return [int.from_bytes(row.tobytes(), "little") for row in packed]
 
 
 def max_independent_set(
@@ -225,9 +235,19 @@ def optimal_code_bruteforce(
 
 @dataclass(frozen=True)
 class ZeroErrorReport:
+    """Outcome of a pairwise zero-error check.
+
+    ``pairs_checked`` counts every unordered codeword pair; ``candidates``
+    is how many of them reached the exact test, and ``kernel`` which form
+    of it ran: "int64" (vectorized) or "scalar" (`indistinguishable` on
+    each candidate, for parameters past the int64 guard).
+    """
+
     spec: ChannelSpec
     pairs_checked: int
     violations: tuple[tuple[Runs, Runs], ...]
+    candidates: int = 0
+    kernel: str = "int64"
 
     @property
     def ok(self) -> bool:
@@ -241,11 +261,16 @@ class ZeroErrorReport:
 def verify_zero_error(
     codebook: Codebook, spec: Optional[ChannelSpec] = None
 ) -> ZeroErrorReport:
-    """Check every unordered codeword pair with the general predicate."""
+    """Check every unordered codeword pair with the general predicate.
+
+    Only pairs inside the candidate window can be indistinguishable (see
+    `distinguish`); the exact test decides each of them.
+    """
     spec = codebook.spec if spec is None else spec
     words = codebook.codewords
-    violations = tuple(
-        (words[i], words[j]) for i, j in indistinguishable_pairs(words, spec)
-    )
+    scan = scan_pairs(words, spec)
+    violations = tuple((words[i], words[j]) for i, j in scan.pairs())
     n = len(words)
-    return ZeroErrorReport(spec, n * (n - 1) // 2, violations)
+    return ZeroErrorReport(
+        spec, n * (n - 1) // 2, violations, scan.candidates, scan.kernel
+    )

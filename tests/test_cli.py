@@ -1,7 +1,11 @@
+import hashlib
+from fractions import Fraction as F
+
 import pytest
 
 from driftppm.cli import main
 from driftppm.codebook_io import dump_codebook, load_codebook
+from driftppm.constructions import code_bounded_drift
 from driftppm.core import INFINITY, ChannelSpec, Codebook
 
 
@@ -264,7 +268,50 @@ class TestVerify:
         assert run(capsys, "verify", "--code", str(path), "--gamma", "inf")[0] == 2
 
 
+    def test_loose_jitter_lists_violations_in_pair_order(self, capsys, tmp_path):
+        path = tmp_path / "book.code"
+        dump_codebook(code_bounded_drift(2, 10, F(7, 4)), path)
+        code, out, _ = run(capsys, "verify", "--code", str(path), "--xi", "2")
+        assert code == 2
+        assert out.count("indistinguishable: ") == 399
+        assert out.endswith("\npairs=820 violations=399\n")
+        # pins every violation line and their (i, j) order
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "b4fb249f9941d5f139ef61722dd0be9bf377053dcf495eebf406d3e95e7c9dee"
+        )
+
+    def test_xi_beyond_float_range(self, capsys, tmp_path):
+        path = tmp_path / "book.code"
+        dump_codebook(code_bounded_drift(2, 10, F(7, 4)), path)
+        code, out, err = run(capsys, "verify", "--code", str(path), "--xi", "1e400")
+        assert (code, err) == (2, "")
+        assert out.startswith("indistinguishable: 1 1 | 1 2\nindistinguishable: 1 1 | 1 3\n")
+        assert out.endswith("indistinguishable: 8 2 | 9 1\npairs=820 violations=820\n")
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "3493e278f00ee025bc38b7dd0049ce88dbab36f2c10ed40d6d0a205640d483f4"
+        )
+
+    @pytest.mark.parametrize(
+        "flags, expected_code, tail",
+        [
+            ((), 0, "pairs=21 violations=0\n"),
+            (("--xi", "2"), 2, "indistinguishable: 27 | 48\npairs=21 violations=8\n"),
+            (("--gamma", "inf"), 2, "indistinguishable: 27 | 48\npairs=21 violations=21\n"),
+        ],
+    )
+    def test_single_pulse_codebook(self, capsys, tmp_path, flags, expected_code, tail):
+        path = tmp_path / "k1.code"
+        dump_codebook(code_bounded_drift(1, 65, F(7, 4)), path)
+        code, out, _ = run(capsys, "verify", "--code", str(path), *flags)
+        assert code == expected_code
+        assert out.endswith(tail)
+
+
 class TestOracle:
+    def test_xi_beyond_float_range(self, capsys):
+        code, out, err = run(capsys, "oracle", "--k", "2", "--M", "3", "--xi", "1e400")
+        assert (code, out, err) == (0, "mis_size=1 status=EXACT\n", "")
+
     def test_exact(self, capsys):
         code, out, _ = run(capsys, "oracle", "--k", "2", "--M", "6",
                            "--xi", "1", "--gamma", "inf")

@@ -2,11 +2,17 @@ from fractions import Fraction as F
 from itertools import combinations
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from driftppm.core import INFINITY, ChannelSpec, enumerate_inputs, ratio_vector
+from driftppm.constructions import construct
+from driftppm.core import INFINITY, REGIMES, ChannelSpec, enumerate_inputs, ratio_vector
 from driftppm import distinguish
-from driftppm.distinguish import _pairwise_rows, confusion_graph, indistinguishable
+from driftppm.distinguish import (
+    confusion_graph,
+    indistinguishable,
+    indistinguishable_pairs,
+    scan_pairs,
+)
 
 UNBOUNDED = ChannelSpec(1, INFINITY)
 
@@ -30,6 +36,15 @@ def ratio_gap_oracle(x, y, xi):
     within a factor xi^2 of each other."""
     u, v = F(x[1], x[0]), F(y[1], y[0])
     return u <= xi * xi * v and v <= xi * xi * u
+
+
+def brute_force_pairs(vertices, spec):
+    """Every indistinguishable pair (i, j), i < j, by the scalar predicate."""
+    return [
+        (i, j)
+        for i, j in combinations(range(len(vertices)), 2)
+        if indistinguishable(vertices[i], vertices[j], spec)
+    ]
 
 
 class TestExamples:
@@ -168,16 +183,124 @@ class TestConfusionGraph:
             return indistinguishable(x, y, spec)
 
         monkeypatch.setattr(distinguish, "indistinguishable", counted)
-        int64_rows = [row.tolist() for _, row in _pairwise_rows(words, below)]
+        int64_scan = scan_pairs(words, below)
+        assert int64_scan.kernel == "int64"
         assert calls == []
-        scalar_rows = [row.tolist() for _, row in _pairwise_rows(words, above)]
-        assert len(calls) == len(words) ** 2
-        expected = [[indistinguishable(x, y, above) for y in words] for x in words]
-        assert scalar_rows == expected
-        assert scalar_rows == int64_rows
-        assert sum(map(sum, expected)) > len(words)  # some edges besides i == i
+        scalar_scan = scan_pairs(words, above)
+        assert scalar_scan.kernel == "scalar"
+        # the scalar kernel decides exactly the candidate pairs
+        assert len(calls) == scalar_scan.candidates > 0
+        expected = brute_force_pairs(words, above)
+        assert scalar_scan.pairs() == expected
+        assert scalar_scan.pairs() == int64_scan.pairs()
+        assert expected  # some edges besides i == i
 
     def test_no_self_loops(self):
         graph = confusion_graph(enumerate_inputs(2, 6), ChannelSpec(2, 1))
         for i in range(graph.n):
             assert not graph.has_edge(i, i)
+
+
+XIS = (F(1), F(21, 20), F(3, 2), F(2))
+GAMMAS = (F(1), F(3, 2), F(7, 4), F(4), INFINITY)
+grid_specs = st.builds(ChannelSpec, st.sampled_from(XIS), st.sampled_from(GAMMAS))
+# largest frame per pulse count that keeps the brute-force scan quick
+MAX_FRAME = {1: 60, 2: 20, 3: 12, 4: 10}
+
+
+@st.composite
+def constructed_codebooks(draw):
+    k = draw(st.integers(1, 4))
+    m = draw(st.integers(k, MAX_FRAME[k]))
+    spec = draw(grid_specs)
+    regime = draw(st.sampled_from([r for r in REGIMES if r != "custom"]))
+    try:
+        return construct(k, m, spec.xi, spec.gamma, regime).codewords
+    except ValueError:  # the regime is undefined for these parameters
+        assume(False)
+
+
+@st.composite
+def planted_codebooks(draw):
+    """Random words plus pairs confusable exactly at a window's edge."""
+    k = draw(st.integers(1, 4))
+    spec = draw(grid_specs)
+    p, q = spec.xi.numerator, spec.xi.denominator
+    run = st.integers(1, 12)
+    words = draw(st.lists(st.tuples(*[run] * k), max_size=25))
+    planted = []
+    if k >= 2:
+        a, b, t = draw(run), draw(run), draw(st.integers(2, 5))
+        rest = draw(st.tuples(*[run] * (k - 2)))
+        # equal first ratios, confusable or not
+        words += [(a, b, *rest), (t * a, t * b, *draw(st.tuples(*[run] * (k - 2))))]
+        # first ratios a factor xi^2 apart, with m_hi / m_lo = xi^2
+        planted.append(((q * a, p * b, *rest), (p * a, q * b, *rest)))
+    if not spec.unbounded_drift:
+        g, h = spec.gamma.numerator, spec.gamma.denominator
+        base = draw(st.tuples(*[run] * k))
+        # every run ratio, so m_hi, exactly gamma*xi
+        planted.append(
+            (tuple(g * p * c for c in base), tuple(h * q * c for c in base))
+        )
+    for x, y in planted:
+        assert indistinguishable(x, y, spec)
+        words += [x, y]
+    order = draw(st.permutations(list(dict.fromkeys(words))))
+    return order, spec
+
+
+def assert_scan_matches_brute_force(words, spec):
+    expected = brute_force_pairs(words, spec)
+    int64_scan = scan_pairs(words, spec)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(distinguish, "_INT64_GUARD", 0)
+        scalar_scan = scan_pairs(words, spec)
+    assert (int64_scan.kernel, scalar_scan.kernel) == ("int64", "scalar")
+    assert int64_scan.pairs() == expected
+    assert scalar_scan.pairs() == expected
+    assert int64_scan.candidates == scalar_scan.candidates
+    assert len(expected) <= int64_scan.candidates <= len(words) * (len(words) - 1) // 2
+
+
+class TestCandidateWindow:
+    """The windowed pair scan against a brute-force scan of every pair."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(constructed_codebooks(), grid_specs)
+    def test_constructed_codebooks(self, words, spec):
+        assert_scan_matches_brute_force(words, spec)
+
+    @settings(max_examples=150, deadline=None)
+    @given(planted_codebooks())
+    def test_planted_violations(self, case):
+        words, spec = case
+        assert_scan_matches_brute_force(words, spec)
+
+    @pytest.mark.parametrize("spec", [UNBOUNDED, ChannelSpec(2, 2), ChannelSpec(F(10**400), 2)])
+    @pytest.mark.parametrize("words", [[], [(3, 4)], [(5,)]])
+    def test_empty_and_single_word(self, words, spec):
+        assert list(indistinguishable_pairs(words, spec)) == []
+        assert scan_pairs(words, spec).candidates == 0
+        graph = confusion_graph(words, spec)
+        assert graph.neighbors == (0,) * len(words)
+
+    def test_xi_beyond_float_range(self):
+        # the window cannot be located in floats; every pair is confusable
+        words = enumerate_inputs(2, 5)
+        scan = scan_pairs(words, ChannelSpec(F(10**400), F(7, 4)))
+        assert scan.kernel == "scalar"
+        assert scan.pairs() == list(combinations(range(len(words)), 2))
+
+    def test_runs_beyond_int64(self):
+        words = [(1, 2), (2**70, 2**71 + 1), (2**70, 2**71), (3, 1), (2**71, 2**72)]
+        assert list(indistinguishable_pairs(words, ChannelSpec(1, 2))) == [(2, 4)]
+        assert list(indistinguishable_pairs(words, UNBOUNDED)) == [(0, 2), (0, 4), (2, 4)]
+
+    def test_window_skips_distant_ratios(self):
+        # the gcd code has one word per ratio vector: at xi = 1 only words
+        # sharing a first ratio are candidates
+        words = construct(2, 65, 1, INFINITY).codewords
+        scan = scan_pairs(words, UNBOUNDED)
+        assert scan.pairs() == []
+        assert scan.candidates == 0

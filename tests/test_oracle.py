@@ -17,6 +17,7 @@ from driftppm.oracle import (
     EXACT,
     max_independent_set,
     optimal_code_bruteforce,
+    ZeroErrorReport,
     verify_zero_error,
 )
 
@@ -168,6 +169,26 @@ class TestVerifyZeroError:
         assert report.ok
         assert report.pairs_checked == 1307 * 1306 // 2
 
+    def test_reports_candidates_and_kernel(self):
+        # int64 kernel: only words sharing a first ratio reach the exact test
+        report = verify_zero_error(code_bounded_drift(2, 65, F(7, 4)))
+        assert (report.pairs_checked, report.candidates, report.kernel) == (
+            1736 * 1735 // 2, 569, "int64",
+        )
+        # a spec this fine pushes the products past the int64 guard
+        codebook = code_jitter_bounded_drift(65, F(21, 20), F(7, 4))
+        strict = ChannelSpec(F("1.049999999999999"), F("1.749999999999999"))
+        report = verify_zero_error(codebook, strict)
+        assert (report.pairs_checked, report.candidates, report.kernel) == (
+            110 * 109 // 2, 33, "scalar",
+        )
+        assert report.ok
+
+    def test_report_fields_default(self):
+        report = ZeroErrorReport(ChannelSpec(1, 2), 3, ())
+        assert (report.candidates, report.kernel) == (0, "int64")
+        assert str(report) == f"3 pairs checked under {report.spec}: zero-error"
+
     def test_multiple_pair_violates_under_drift(self):
         cb = Codebook(2, 65, ChannelSpec(1, 2), "custom", ((1, 1), (2, 2)))
         report = verify_zero_error(cb)
@@ -196,3 +217,13 @@ class TestVerifyZeroError:
     )
     def test_constructions_clean(self, codebook):
         assert verify_zero_error(codebook).ok
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("m, size", [(256, 26_684), (1024, 425_837)])
+def test_large_frames_zero_error(m, size):
+    codebook = code_bounded_drift(2, m, F(7, 4))
+    assert len(codebook) == size
+    report = verify_zero_error(codebook)
+    assert report.pairs_checked == size * (size - 1) // 2
+    assert report.ok
