@@ -20,12 +20,12 @@ inside [1/xi^2, xi^2].  For k = 1 the one ratio x/y lies in
 [1/(gamma*xi), gamma*xi], and every pair qualifies when gamma is infinite.
 The inputs are sorted once by that key, and every pair inside a window of
 that factor is a candidate.  A float may locate a window, with a margin that
-keeps every confusable pair; the exact test decides every candidate.
+keeps every confusable pair; where runs or the factor do not fit a float,
+every pair is a candidate.  The exact test decides every candidate.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -106,12 +106,10 @@ def confusion_graph(inputs: Sequence[Sequence[int]], spec: ChannelSpec) -> Confu
         raise ValueError("duplicate inputs")
     n = len(vertices)
     scan = scan_pairs(vertices, spec)
-    # one byte per vertex pair, rows padded to whole bytes, packed to bits
-    width = -(-n // 8) * 8
-    bits = np.zeros(n * width, dtype=bool)
-    bits[scan.first * width + scan.second] = True
-    bits[scan.second * width + scan.first] = True
-    rows = np.packbits(bits, bitorder="little").reshape(n, width // 8)
+    # one bit per vertex pair, each row little-endian in whole bytes
+    rows = np.zeros((n, -(-n // 8)), dtype=np.uint8)
+    for a, b in ((scan.first, scan.second), (scan.second, scan.first)):
+        np.bitwise_or.at(rows, (a, b >> 3), (1 << (b & 7)).astype(np.uint8))
     masks = tuple(int.from_bytes(row.tobytes(), "little") for row in rows)
     return ConfusionGraph(vertices, spec, masks)
 
@@ -134,16 +132,11 @@ class PairScan:
         return list(zip(self.first.tolist(), self.second.tolist()))
 
 
-def indistinguishable_pairs(vertices: Sequence[Runs], spec: ChannelSpec):
-    """Yield (i, j) with i < j for every indistinguishable pair, ascending."""
-    yield from scan_pairs(vertices, spec).pairs()
-
-
 # int64 products in the vectorized kernel stay below this; larger parameter
 # combinations fall back to the exact scalar predicate.
 _INT64_GUARD = 1 << 62
-# Window keys are located in floats only for runs below this, where every
-# run converts to a float exactly.
+# Windows are located in floats only for runs below this, where every run
+# converts to a float exactly.
 _FLOAT_EXACT = 1 << 53
 # Relative margin on a float window end.  Keys x_2/x_1 of runs below
 # _FLOAT_EXACT, the factor, its product with the margin and each key's
@@ -210,27 +203,18 @@ def _windows(vertices, arr, spec):
     exclusive end of its window."""
     n = len(vertices)
     k = len(vertices[0])
-    if k == 1:
-        if spec.unbounded_drift:
-            return np.arange(n), np.full(n, n)
-        num, den, factor = 0, None, spec.gamma * spec.xi
-    else:
-        num, den, factor = 1, 0, spec.xi * spec.xi
+    factor = spec.xi * spec.xi if k > 1 else spec.gamma * spec.xi
     try:
         scale = float(factor) * _MARGIN
-    except OverflowError:
-        scale = None
-    if arr is not None and scale is not None:
-        keys = arr[:, num] if den is None else arr[:, num] / arr[:, den]
-        order = np.argsort(keys, kind="stable")
-        keys = keys[order]
-        return order, np.searchsorted(keys, keys * scale, side="right")
-    # exact path: runs or factor too large for a float
-    keys = [Fraction(v[num], 1 if den is None else v[den]) for v in vertices]
-    order = sorted(range(n), key=keys.__getitem__)
-    ranked = [keys[i] for i in order]
-    ends = [bisect_right(ranked, r * factor) for r in ranked]
-    return np.array(order, dtype=np.int64), np.array(ends, dtype=np.int64)
+    except OverflowError:  # the factor does not fit a float
+        arr = None
+    if arr is None or (k == 1 and spec.unbounded_drift):
+        # no window: every pair is a candidate
+        return np.arange(n), np.full(n, n)
+    keys = arr[:, 0] if k == 1 else arr[:, 1] / arr[:, 0]
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    return order, np.searchsorted(keys, keys * scale, side="right")
 
 
 def _candidates(vertices, arr, spec):
