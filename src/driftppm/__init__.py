@@ -33,7 +33,6 @@ from .constructions import (
     code_jitter_unbounded_drift,
     construct,
     geometric_multipliers,
-    jitter_chain,
     multiples_chain,
     naive_rate,
     perfect_sync_code,
@@ -95,7 +94,6 @@ __all__ = [
     "code_jitter_unbounded_drift",
     "construct",
     "geometric_multipliers",
-    "jitter_chain",
     "multiples_chain",
     "naive_rate",
     "perfect_sync_code",

@@ -110,25 +110,16 @@ def derive_trial_seed(seed: int, trial: int) -> int:
 
 
 def sample_realization(
-    spec: ChannelSpec,
-    k: int,
-    seed: int,
-    mode: str = "uniform",
-    t_cap=None,
+    spec: ChannelSpec, k: int, seed: int, t_cap=None
 ) -> ChannelRealization:
-    """Draw one realization.
+    """Draw one uniform realization.
 
-    uniform: T and each Z_i independently uniform on their intervals, on an
-    exact 2^-53 rational grid, reproducible from the seed.  endpoints: the
-    seed is a corner index; bit 0 selects T low/high and bit i selects Z_i,
-    covering all 2^(k+1) corners as the index runs over them.
+    T and each Z_i are independently uniform on their intervals, on an exact
+    2^-53 rational grid, reproducible from the seed.  endpoint_realizations
+    gives the corners.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    if mode == "endpoints":
-        return _endpoint_realization(spec, k, seed, t_cap)
-    if mode != "uniform":
-        raise ValueError(f"unknown mode {mode!r}")
     td, t_step = _grid_steps(_upper_drift(spec, t_cap))
     zd, z_step = _grid_steps(spec.xi)
     rng = random.Random(seed)
@@ -172,17 +163,15 @@ def endpoint_ints(spec: ChannelSpec, k: int, t_cap=None) -> list[tuple[int, list
     ]
 
 
-def _endpoint_realization(spec, k, index, t_cap) -> ChannelRealization:
-    hi_t = _upper_drift(spec, t_cap)
-    index %= 1 << (k + 1)
-    t = hi_t if index & 1 else Fraction(1)
-    z = tuple(spec.xi if index >> i & 1 else Fraction(1) for i in range(1, k + 1))
-    return ChannelRealization(t, z)
-
-
 def endpoint_realizations(
     spec: ChannelSpec, k: int, t_cap=None
 ) -> Iterator[ChannelRealization]:
-    """All 2^(k+1) corner realizations, in index order."""
+    """All 2^(k+1) corner realizations, in index order.
+
+    Bit 0 of the index selects T low/high and bit i selects Z_i.
+    """
+    hi_t = _upper_drift(spec, t_cap)
     for index in range(1 << (k + 1)):
-        yield _endpoint_realization(spec, k, index, t_cap)
+        t = hi_t if index & 1 else Fraction(1)
+        z = tuple(spec.xi if index >> i & 1 else Fraction(1) for i in range(1, k + 1))
+        yield ChannelRealization(t, z)

@@ -229,11 +229,8 @@ def _cmd_simulate(args) -> int:
     else:
         if args.trials is None:
             raise ValueError("--trials is required in uniform mode")
-        t_cap = args.t_cap
-        if codebook.spec.unbounded_drift and t_cap is None:
-            raise ValueError("--t-cap is required in uniform mode when gamma=inf")
         report = run_uniform_roundtrips(
-            codebook, args.trials, args.seed, t_cap=t_cap
+            codebook, args.trials, args.seed, t_cap=args.t_cap
         )
     print(f"trials={report.trials} failures={report.failures}")
     return EXIT_OK if report.ok else EXIT_FAILED

@@ -18,7 +18,6 @@ from .core import (
     format_run_vector,
     parse_drift_ratio,
     parse_ratio,
-    parse_run_vector,
 )
 
 __all__ = ["dumps_codebook", "dump_codebook", "loads_codebook", "load_codebook"]
@@ -61,16 +60,14 @@ def loads_codebook(text: str) -> Codebook:
     spec = ChannelSpec(parse_ratio(fields["xi"]), parse_drift_ratio(fields["gamma"]))
     codewords = []
     for line in lines[1:]:
-        if not line.strip():
-            continue
-        runs = parse_run_vector(line, m)
-        if len(runs) != k:
-            raise ValueError(f"codeword {runs} does not have k={k} runs")
-        codewords.append(runs)
-    if len(set(codewords)) != len(codewords):
-        raise ValueError("duplicate codewords in file")
-    # accept any order on input; the Codebook stores them sorted
-    return Codebook.build(k, m, spec, fields["regime"], codewords)
+        if line.strip():
+            try:
+                codewords.append(tuple(int(tok) for tok in line.split()))
+            except ValueError as exc:
+                raise ValueError(f"bad run vector line: {line!r}") from exc
+    # accept any order on input; the Codebook checks every run and refuses
+    # duplicates, which sort next to each other
+    return Codebook(k, m, spec, fields["regime"], tuple(sorted(codewords)))
 
 
 def load_codebook(path: Union[str, os.PathLike]) -> Codebook:

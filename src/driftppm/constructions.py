@@ -13,9 +13,10 @@ Five constructions cover the (xi, gamma) regimes:
 The chained constructions share one greedy recurrence: starting from 1, each
 multiplier is the smallest integer exceeding the previous one by strictly more
 than a given step ratio, i.e. floor(step * d) + 1.  Every input x is gcd(x)
-times its primitive vector, so a chained code keeps x iff gcd(x) is on the
-chain: one pass over the inputs, in lexicographic order.  All arithmetic is
-exact.
+times its primitive vector, so a chain code over every primitive vector keeps
+x iff gcd(x) is on the chain: one pass over the inputs, in lexicographic
+order.  Over a few bases, the code is the union of their chains.  Every
+builder takes its ratios through ChannelSpec.  All arithmetic is exact.
 """
 
 from __future__ import annotations
@@ -45,7 +46,6 @@ __all__ = [
     "multiples_chain",
     "code_gcd",
     "code_bounded_drift",
-    "jitter_chain",
     "code_jitter",
     "ratio_set",
     "code_jitter_unbounded_drift",
@@ -111,14 +111,12 @@ def multiples_chain(runs: Sequence[int], gamma, m: int) -> list[Runs]:
     return [tuple(d * r for r in runs) for d in geometric_multipliers(gamma, m // total)]
 
 
-def _by_gcd(k: int, m: int, step, bases=None) -> tuple[Runs, ...]:
-    """Inputs, in order, whose gcd is on the chain of step (and, given bases,
-    whose primitive vector is one of them)."""
+def _by_gcd(k: int, m: int, step) -> tuple[Runs, ...]:
+    """Inputs, in order, whose gcd is on the chain of step."""
     if k == 1 and step == INFINITY:
         raise UnsupportedRegimeError(_K1_DRIFT_REASON)
-    inputs, chain = enumerate_inputs(k, m), set(geometric_multipliers(step, m))
-    return tuple(x for x in inputs if (g := math.gcd(*x)) in chain
-                 and (bases is None or tuple(r // g for r in x) in bases))
+    chain = set(geometric_multipliers(step, m))
+    return tuple(x for x in enumerate_inputs(k, m) if math.gcd(*x) in chain)
 
 
 def code_gcd(k: int, m: int) -> Codebook:
@@ -138,28 +136,21 @@ def code_bounded_drift(k: int, m: int, gamma) -> Codebook:
     m: x is a codeword iff gcd(x) is on it.  With gamma = 1 every multiple
     qualifies and the code is the full input set (perfect synchronization).
     """
-    gamma = _as_step(gamma)
-    words = _by_gcd(k, m, gamma)
-    return Codebook(k, m, ChannelSpec(1, gamma), "bounded-drift", words)
-
-
-def jitter_chain(m: int, xi) -> list[int]:
-    """Run values 1 = l_1 < l_2 < ... <= m with consecutive ratios > xi."""
-    xi = as_ratio(xi)
-    if xi < 1:
-        raise ValueError(f"xi must be >= 1, got {xi}")
-    return geometric_multipliers(xi, m)
+    spec = ChannelSpec(1, gamma)
+    return Codebook(k, m, spec, "bounded-drift", _by_gcd(k, m, spec.gamma))
 
 
 def code_jitter(k: int, m: int, xi) -> Codebook:
     """All inputs whose every run comes from the jitter chain; optimal for no drift.
 
-    Jitter perturbs runs independently, so two codewords are distinguishable
-    as soon as one coordinate differs -- and chain values differ by more than
-    the jitter can bridge.
+    The jitter chain is geometric_multipliers(xi, m): run values whose
+    consecutive ratios exceed xi.  Jitter perturbs runs independently, so two
+    codewords are distinguishable as soon as one coordinate differs -- and
+    chain values differ by more than the jitter can bridge.
     """
-    words = _run_vectors(k, m, jitter_chain(m, xi))
-    return Codebook(k, m, ChannelSpec(xi, 1), "jitter", tuple(words))
+    spec = ChannelSpec(xi, 1)
+    words = _run_vectors(k, m, geometric_multipliers(spec.xi, m))
+    return Codebook(k, m, spec, "jitter", tuple(words))
 
 
 def _coprime_pairs(m: int):
@@ -195,33 +186,31 @@ def code_jitter_unbounded_drift(m: int, xi) -> Codebook:
     ratio 1/(m-1), repeatedly pick the smallest admissible ratio; each chosen
     fraction's lowest-terms form is the codeword (denominator, numerator).
     """
-    xi = as_ratio(xi)
-    if xi < 1:
-        raise ValueError(f"xi must be >= 1, got {xi}")
-    p, q = xi.numerator**2, xi.denominator**2
+    spec = ChannelSpec(xi, INFINITY)
+    p, q = spec.xi.numerator**2, spec.xi.denominator**2
     words = []
     y1, y2 = 1, 0  # the last pick; ratio 0 admits the first pair
     for x1, x2 in _coprime_pairs(m):
         if q * x2 * y1 > p * y2 * x1:  # x2/x1 > xi^2 * y2/y1
             words.append((x1, x2))
             y1, y2 = x1, x2
-    return Codebook.build(
-        2, m, ChannelSpec(xi, INFINITY), "jitter-unbounded-drift", words
-    )
+    return Codebook.build(2, m, spec, "jitter-unbounded-drift", words)
 
 
 def code_jitter_bounded_drift(m: int, xi, gamma) -> Codebook:
     """Drift chains with step gamma*xi over the unbounded-drift code (two pulses).
 
-    Zero-error for jitter xi and drift gamma, though not necessarily optimal:
-    a single observed run can move by a factor of gamma*xi, so multiples of a
-    base codeword must be separated by more than that.
+    The sorted union of multiples_chain(base, gamma*xi, m) over the bases,
+    the codewords of the unbounded-drift code.  Zero-error for jitter xi and
+    drift gamma, though not necessarily optimal: a single observed run can
+    move by a factor of gamma*xi, so multiples of a base codeword must be
+    separated by more than that.
     """
-    xi = as_ratio(xi)
-    gamma = _as_step(gamma)
-    step = INFINITY if gamma == INFINITY else gamma * xi
-    words = _by_gcd(2, m, step, set(code_jitter_unbounded_drift(m, xi).codewords))
-    return Codebook(2, m, ChannelSpec(xi, gamma), "jitter-bounded-drift", words)
+    spec = ChannelSpec(xi, gamma)
+    step = spec.gamma * spec.xi  # a float inf when gamma is: bases only
+    bases = code_jitter_unbounded_drift(m, spec.xi).codewords
+    words = (w for base in bases for w in multiples_chain(base, step, m))
+    return Codebook.build(2, m, spec, "jitter-bounded-drift", words)
 
 
 def best_achievable_rate(m: int, xi, gamma, xi_grid: Sequence[RatioLike]) -> float:

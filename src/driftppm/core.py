@@ -34,7 +34,6 @@ __all__ = [
     "ChannelSpec",
     "Codebook",
     "check_run_vector",
-    "parse_run_vector",
     "format_run_vector",
     "enumerate_inputs",
     "gcd_of",
@@ -45,16 +44,19 @@ __all__ = [
 #: Unbounded clock drift.  Fractions compare exactly against this value.
 INFINITY = math.inf
 
-#: Construction tags a Codebook may carry.
-REGIMES = (
-    "gcd",
-    "bounded-drift",
-    "jitter",
-    "jitter-unbounded-drift",
-    "jitter-bounded-drift",
-    "perfect-sync",
-    "custom",
-)
+#: Construction tags a Codebook may carry, each mapped to the structured
+#: decoder that serves it: "chain" (primitive groups, each a chain of
+#: multiples), "alphabet" (every run decoded on its own), or None when only
+#: the general decoder applies.
+REGIMES = {
+    "gcd": "chain",
+    "bounded-drift": "chain",
+    "jitter": "alphabet",
+    "jitter-unbounded-drift": "chain",
+    "jitter-bounded-drift": "chain",
+    "perfect-sync": "alphabet",
+    "custom": None,
+}
 
 Runs = tuple[int, ...]
 DriftRatio = Union[Fraction, float]
@@ -168,15 +170,6 @@ def check_run_vector(runs: Sequence[int], m: int) -> Runs:
     if sum(runs) > m:
         raise ValueError(f"runs {runs} sum to {sum(runs)} > frame size {m}")
     return runs
-
-
-def parse_run_vector(line: str, m: int) -> Runs:
-    """Parse one line of space-separated runs."""
-    try:
-        runs = tuple(int(tok) for tok in line.split())
-    except ValueError as exc:
-        raise ValueError(f"bad run vector line: {line!r}") from exc
-    return check_run_vector(runs, m)
 
 
 def format_run_vector(runs: Sequence[int]) -> str:

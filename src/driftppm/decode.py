@@ -6,10 +6,11 @@ explain the observation: equivalently, whether the interval
 intersection_i [Y_i/(xi*x_i), Y_i/x_i] meets [1, gamma].  For a zero-error
 codebook and an in-spec observation exactly one codeword survives.
 
-The fast decoder follows the structured per-regime procedures instead: ratio
-lookup plus a multiplier window for the drift-chain codes, and independent
-per-run windows for the no-drift codes.  Both decoders are exact; float
-observations widen every comparison by a relative tolerance.
+The fast decoder follows the structured procedure that core.REGIMES names
+for the codebook's tag instead: ratio lookup plus a multiplier window for the
+drift-chain codes, and independent per-run windows for the no-drift codes.
+Both decoders are exact; float observations widen every comparison by a
+relative tolerance.
 
 Both decoders draw their candidates from one index: the codewords grouped by
 primitive vector (x / gcd(x)).  An exact observation without jitter (xi = 1)
@@ -30,7 +31,7 @@ from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from typing import Optional
 
-from .core import ChannelSpec, Codebook, Runs
+from .core import REGIMES, ChannelSpec, Codebook, Runs
 from .channel import ObservedSignal
 
 __all__ = [
@@ -211,14 +212,6 @@ class Decoder:
 
     # -- structured fast decoding -----------------------------------------
 
-    _CHAIN_REGIMES = (
-        "gcd",
-        "bounded-drift",
-        "jitter-unbounded-drift",
-        "jitter-bounded-drift",
-    )
-    _ALPHABET_REGIMES = ("jitter", "perfect-sync")
-
     def _alphabet_index(self):
         if self._alphabet is None:
             alphabet = sorted({run for w in self.words for run in w})
@@ -227,9 +220,10 @@ class Decoder:
 
     def fast_ints(self, a, b, d, p, q, g, h, finite) -> list[Runs]:
         """Structured decode; returns the list of matches (want exactly one)."""
-        if self.regime in self._CHAIN_REGIMES:
+        structure = REGIMES[self.regime]
+        if structure == "chain":
             return self._fast_chain(a, b, d, p, q, g, h, finite)
-        if self.regime in self._ALPHABET_REGIMES:
+        if structure == "alphabet":
             return self._fast_alphabet(a, b, d, p, q)
         raise ValueError(f"no structured decoder for regime {self.regime!r}")
 

@@ -1,7 +1,8 @@
 """Round-trip trials: pick a codeword, run it through the channel, decode.
 
 A trial fails when the general decoder errors or returns a different
-codeword, or when the structured decoder disagrees with the general one.
+codeword, or when the structured decoder (for every tag that has one in
+core.REGIMES) disagrees with the general one.
 For a zero-error codebook and in-spec realizations the failure count is
 zero by definition; these drivers make that executable.
 
@@ -18,16 +19,14 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
-from .core import ChannelSpec, Codebook
+from .core import REGIMES, ChannelSpec, Codebook
 from .channel import derive_trial_seed, endpoint_ints, uniform_sampler
-from .decode import AmbiguityError, Decoder, get_decoder, _spec_ints
+from .decode import AmbiguityError, get_decoder, _spec_ints
 
 __all__ = ["TrialReport", "DEFAULT_T_CAP", "run_endpoint_roundtrips", "run_uniform_roundtrips"]
 
 #: Drift corner used for unbounded-drift codebooks unless a cap is given.
 DEFAULT_T_CAP = Fraction(8)
-
-_FAST_REGIMES = Decoder._CHAIN_REGIMES + Decoder._ALPHABET_REGIMES
 
 
 @dataclass
@@ -48,12 +47,12 @@ class TrialReport:
             self.examples.append((codeword, detail))
 
 
-def _trial_runner(codebook, spec, check_fast):
+def _trial_runner(codebook, spec):
     """(spec, report, run): run(word, (d, c)) decodes the observation c*word/d."""
     if not codebook.codewords:
         raise ValueError("codebook has no codewords to transmit")
     spec = codebook.spec if spec is None else spec
-    check_fast = check_fast and codebook.regime in _FAST_REGIMES
+    structured = REGIMES[codebook.regime] is not None
     decoder = get_decoder(codebook)
     spec_ints = _spec_ints(spec)
     report = TrialReport()
@@ -64,7 +63,7 @@ def _trial_runner(codebook, spec, check_fast):
         matches = decoder.consistent_ints(a, a, d, *spec_ints)
         if matches != [codeword]:
             report.record_failure(codeword, f"general decode gave {matches}")
-        if check_fast:
+        if structured:
             try:
                 fast = decoder.fast_ints(a, a, d, *spec_ints)
             except AmbiguityError:
@@ -81,7 +80,6 @@ def run_endpoint_roundtrips(
     spec: Optional[ChannelSpec] = None,
     t_cap=None,
     trials: Optional[int] = None,
-    check_fast: bool = True,
 ) -> TrialReport:
     """Transmit codewords through corner realizations and decode them back.
 
@@ -89,7 +87,7 @@ def run_endpoint_roundtrips(
     otherwise trial t uses codeword t mod |C| and advances the corner after
     each full pass over the codebook.
     """
-    spec, report, run = _trial_runner(codebook, spec, check_fast)
+    spec, report, run = _trial_runner(codebook, spec)
     corners = endpoint_ints(spec, codebook.k, DEFAULT_T_CAP if t_cap is None else t_cap)
     words = codebook.codewords
     n = len(words)
@@ -109,13 +107,12 @@ def run_uniform_roundtrips(
     seed: int,
     spec: Optional[ChannelSpec] = None,
     t_cap=None,
-    check_fast: bool = True,
 ) -> TrialReport:
     """Seeded uniform trials: random codeword, random interior realization.
 
     With unbounded drift, T is drawn from [1, t_cap] and t_cap is required.
     """
-    spec, report, run = _trial_runner(codebook, spec, check_fast)
+    spec, report, run = _trial_runner(codebook, spec)
     draw = uniform_sampler(spec, codebook.k, t_cap)
     words = codebook.codewords
     n = len(words)

@@ -70,9 +70,10 @@ class TestObservedSignal:
 class TestEndpoints:
     def test_first_and_last_corner(self):
         spec = ChannelSpec(2, F(7, 4))
-        first = sample_realization(spec, 2, 0, mode="endpoints")
+        corners = list(endpoint_realizations(spec, 2))
+        first = corners[0]
         assert first.t == 1 and first.z == (1, 1)
-        last = sample_realization(spec, 2, 7, mode="endpoints")
+        last = corners[7]
         assert last.t == F(7, 4) and last.z == (2, 2)
 
     def test_all_corners_distinct(self):
@@ -83,8 +84,8 @@ class TestEndpoints:
     def test_unbounded_drift_needs_cap(self):
         spec = ChannelSpec(1, INFINITY)
         with pytest.raises(ValueError):
-            sample_realization(spec, 2, 1, mode="endpoints")
-        r = sample_realization(spec, 2, 1, mode="endpoints", t_cap=5)
+            list(endpoint_realizations(spec, 2))
+        r = list(endpoint_realizations(spec, 2, t_cap=5))[1]
         assert r.t == 5
 
 

@@ -220,6 +220,16 @@ class TestSimulate:
         assert (code, out) == (1, "")
         assert err == "error: t_cap must be >= 1, got 1/2\n"
 
+    def test_uniform_unbounded_drift_needs_cap(self, capsys, tmp_path):
+        path = tmp_path / "book.code"
+        assert run(capsys, "construct", "--k", "2", "--M", "10", "--xi", "1",
+                   "--gamma", "inf", "--out", str(path))[0] == 0
+        code, out, err = run(capsys, "simulate", "--code", str(path),
+                             "--mode", "uniform", "--trials", "5")
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and "t_cap" in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("mode", ["endpoints", "uniform"])
     def test_empty_codebook_exits_1(self, capsys, tmp_path, mode):
         path = tmp_path / "empty.code"

@@ -58,6 +58,20 @@ def test_load_rejects_wrong_k():
         loads_codebook("k=2 M=5 xi=1 gamma=1 regime=custom\n1 1 1\n")
 
 
+def test_load_rejects_non_integer_token():
+    with pytest.raises(ValueError, match="bad run vector line"):
+        loads_codebook("k=2 M=5 xi=1 gamma=1 regime=custom\n1 x\n")
+    with pytest.raises(ValueError, match="bad run vector line"):
+        loads_codebook("k=2 M=5 xi=1 gamma=1 regime=custom\n1 1.5\n")
+
+
+def test_load_rejects_non_positive_run():
+    with pytest.raises(ValueError, match="positive"):
+        loads_codebook("k=2 M=5 xi=1 gamma=1 regime=custom\n1 0\n")
+    with pytest.raises(ValueError, match="positive"):
+        loads_codebook("k=2 M=5 xi=1 gamma=1 regime=custom\n-1 3\n")
+
+
 def test_load_rejects_frame_overflow():
     with pytest.raises(ValueError):
         loads_codebook("k=2 M=5 xi=1 gamma=1 regime=custom\n3 3\n")

@@ -24,7 +24,6 @@ from driftppm.constructions import (
     code_jitter_unbounded_drift,
     construct,
     geometric_multipliers,
-    jitter_chain,
     multiples_chain,
     naive_rate,
     perfect_sync_code,
@@ -130,9 +129,10 @@ class TestChains:
             multiples_chain((2, 4), 2, 65)
 
     def test_jitter_chain_examples(self):
-        assert jitter_chain(65, 2) == [1, 3, 7, 15, 31, 63]
-        assert jitter_chain(65, 1) == list(range(1, 66))
-        assert jitter_chain(5, 3) == [1, 4]
+        # the jitter chain of code_jitter: run values up to m, ratios > xi
+        assert geometric_multipliers(2, 65) == [1, 3, 7, 15, 31, 63]
+        assert geometric_multipliers(1, 65) == list(range(1, 66))
+        assert geometric_multipliers(3, 5) == [1, 4]
 
     def test_integer_product_edge_case(self):
         # when step*d is an integer the next multiplier is step*d + 1
@@ -217,7 +217,7 @@ class TestCodeJitter:
         assert rate_bits(code_jitter(2, 65, F(51, 50))) == pytest.approx(10.9425, abs=1e-3)
 
     def test_runs_all_from_chain(self):
-        alphabet = set(jitter_chain(30, F(3, 2)))
+        alphabet = set(geometric_multipliers(F(3, 2), 30))
         for cw in code_jitter(3, 30, F(3, 2)).codewords:
             assert set(cw) <= alphabet
 
@@ -225,7 +225,7 @@ class TestCodeJitter:
     @settings(max_examples=60, deadline=None)
     def test_matches_filtered_inputs(self, xi, k, extra):
         m = k + extra
-        alphabet = set(jitter_chain(m, xi))
+        alphabet = set(geometric_multipliers(xi, m))
         expected = [x for x in enumerate_inputs(k, m) if set(x) <= alphabet]
         assert list(code_jitter(k, m, xi).codewords) == expected
 
@@ -301,9 +301,17 @@ class TestCodeJitterBoundedDrift:
     )
     @settings(max_examples=80, deadline=None)
     def test_matches_chain_union(self, xi, gamma, m):
+        # independent oracle: one pass over every input, keeping x iff gcd(x)
+        # is on the chain of gamma*xi and x/gcd(x) is a base
         step = INFINITY if gamma == INFINITY else gamma * xi
-        expected = chain_union(ratio_ascent(m, xi), step, m)
+        bases = set(ratio_ascent(m, xi))
+        chain = set(geometric_multipliers(step, m))
+        expected = [
+            x for x in enumerate_inputs(2, m)
+            if (g := gcd_of(x)) in chain and (x[0] // g, x[1] // g) in bases
+        ]
         assert list(code_jitter_bounded_drift(m, xi, gamma).codewords) == expected
+        assert chain_union(bases, step, m) == expected
 
     def test_tight_frame_blocks_multiples(self):
         cb = code_jitter_bounded_drift(5, F(3, 2), 1)
