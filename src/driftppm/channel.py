@@ -153,14 +153,9 @@ def uniform_sampler(spec: ChannelSpec, k: int, t_cap=None):
 
 def endpoint_ints(spec: ChannelSpec, k: int, t_cap=None) -> list[tuple[int, list[int]]]:
     """The corner realizations in index order, each as (d, c) for Y_i = c_i * x_i / d."""
-    hi_t = _upper_drift(spec, t_cap)
-    tn, td = hi_t.numerator, hi_t.denominator
-    zn, zd = spec.xi.numerator, spec.xi.denominator
-    return [
-        (td * zd, [(tn if index & 1 else td) * (zn if index >> i & 1 else zd)
-                   for i in range(1, k + 1)])
-        for index in range(1 << (k + 1))
-    ]
+    d = _upper_drift(spec, t_cap).denominator * spec.xi.denominator
+    corners = endpoint_realizations(spec, k, t_cap)
+    return [(d, [int(r.t * z * d) for z in r.z]) for r in corners]
 
 
 def endpoint_realizations(

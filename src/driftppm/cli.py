@@ -191,10 +191,10 @@ def _sweep_rows(args):
     best = None
     if args.param == "xi" and args.gamma != INFINITY:
         # a code built for larger jitter stays zero-error at smaller jitter,
-        # so the best rate at each grid point is the max over the grid tail
+        # so the best rate at xi is the max over grid points with value >= xi
         best = [0.0] * len(rows)
         running = float("-inf")
-        for i in range(len(rows) - 1, -1, -1):
+        for i in sorted(range(len(rows)), key=lambda i: points[i][3], reverse=True):
             running = max(running, rows[i][2])
             best[i] = running
     return rows, best

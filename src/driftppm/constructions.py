@@ -22,6 +22,7 @@ builder takes its ratios through ChannelSpec.  All arithmetic is exact.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from fractions import Fraction
 from typing import Sequence
 
@@ -29,11 +30,11 @@ from .core import (
     INFINITY,
     ChannelSpec,
     Codebook,
-    DriftRatio,
     EmptyDomainError,
     RatioLike,
     Runs,
     UnsupportedRegimeError,
+    _as_drift_ratio,
     _run_vectors,
     as_ratio,
     enumerate_inputs,
@@ -67,23 +68,15 @@ _K2_ONLY_REASON = (
 )
 
 
-def _as_step(value) -> DriftRatio:
-    if isinstance(value, float) and value == INFINITY:
-        return INFINITY
-    step = as_ratio(value)
-    if step < 1:
-        raise ValueError(f"step ratio must be >= 1, got {step}")
-    return step
-
-
 def geometric_multipliers(step, limit: int) -> list[int]:
     """Integers 1 = d_1 < d_2 < ... <= limit with each ratio d_i/d_{i-1} > step.
 
     Greedy and maximal: d_i = floor(step * d_{i-1}) + 1, the smallest integer
     strictly beyond the gap (when step * d is itself an integer, the next
-    multiplier is step * d + 1).  An infinite step yields just [1].
+    multiplier is step * d + 1).  An infinite step (math.inf or "inf") yields
+    just [1].
     """
-    step = _as_step(step)
+    step = _as_drift_ratio(step, "step ratio")
     if limit < 1:
         return []
     if step == INFINITY:
@@ -204,12 +197,17 @@ def code_jitter_bounded_drift(m: int, xi, gamma) -> Codebook:
     the codewords of the unbounded-drift code.  Zero-error for jitter xi and
     drift gamma, though not necessarily optimal: a single observed run can
     move by a factor of gamma*xi, so multiples of a base codeword must be
-    separated by more than that.
+    separated by more than that.  The chain never looks at its limit, so
+    each base takes the prefix of one chain up to m that fits the frame.
     """
     spec = ChannelSpec(xi, gamma)
-    step = spec.gamma * spec.xi  # a float inf when gamma is: bases only
-    bases = code_jitter_unbounded_drift(m, spec.xi).codewords
-    words = (w for base in bases for w in multiples_chain(base, step, m))
+    # a float inf when gamma is: the chain is [1], bases only
+    chain = geometric_multipliers(spec.gamma * spec.xi, m)
+    words = (
+        (c * x1, c * x2)
+        for x1, x2 in code_jitter_unbounded_drift(m, spec.xi).codewords
+        for c in chain[: bisect_right(chain, m // (x1 + x2))]
+    )
     return Codebook.build(2, m, spec, "jitter-bounded-drift", words)
 
 

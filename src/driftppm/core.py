@@ -115,14 +115,18 @@ def format_ratio(value: DriftRatio) -> str:
     return str(value)
 
 
-def _as_drift_ratio(value) -> DriftRatio:
+def _as_drift_ratio(value, name: str) -> DriftRatio:
+    """An exact ratio >= 1, or INFINITY (math.inf or the string "inf")."""
     if isinstance(value, float):
         if value == INFINITY:
             return INFINITY
-        raise TypeError("drift ratio must be exact (Fraction/int/str) or math.inf")
+        raise TypeError(f"{name} must be exact (Fraction/int/str) or math.inf")
     if isinstance(value, str) and value.strip() == "inf":
         return INFINITY
-    return as_ratio(value)
+    ratio = as_ratio(value)
+    if ratio < 1:
+        raise ValueError(f"{name} must be >= 1, got {ratio}")
+    return ratio
 
 
 @dataclass(frozen=True)
@@ -139,15 +143,23 @@ class ChannelSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "xi", as_ratio(self.xi))
-        object.__setattr__(self, "gamma", _as_drift_ratio(self.gamma))
         if self.xi < 1:
             raise ValueError(f"xi must be >= 1, got {self.xi}")
-        if self.gamma < 1:
-            raise ValueError(f"gamma must be >= 1, got {self.gamma}")
+        object.__setattr__(self, "gamma", _as_drift_ratio(self.gamma, "gamma"))
 
     @property
     def unbounded_drift(self) -> bool:
         return self.gamma == INFINITY
+
+    @property
+    def ints(self) -> tuple[int, int, int, int]:
+        """(p, q, g, h) with xi = p/q and gamma = g/h, h = 0 when unbounded.
+
+        Integer drift tests read r/s <= gamma as r*h <= s*g and r/s >= 1/gamma
+        as r*g >= s*h; with h = 0 both hold for every positive r/s.
+        """
+        g, h = (1, 0) if self.unbounded_drift else self.gamma.as_integer_ratio()
+        return (*self.xi.as_integer_ratio(), g, h)
 
     def is_stricter_or_equal(self, other: "ChannelSpec") -> bool:
         """True if every realization admissible here is admissible under other."""
@@ -219,10 +231,6 @@ class Codebook:
         runs = tuple(runs)
         i = bisect_left(self.codewords, runs)
         return i < len(self.codewords) and self.codewords[i] == runs
-
-    @property
-    def rate(self) -> float:
-        return rate_bits(self)
 
 
 def enumerate_inputs(k: int, m: int) -> list[Runs]:

@@ -86,14 +86,6 @@ def _primitive(runs) -> Runs:
     return tuple([r // div for r in runs])
 
 
-def _spec_ints(spec: ChannelSpec):
-    """(p, q, g, h, finite): xi = p/q and, when finite, gamma = g/h."""
-    p, q = spec.xi.numerator, spec.xi.denominator
-    if spec.unbounded_drift:
-        return p, q, 1, 1, False
-    return p, q, spec.gamma.numerator, spec.gamma.denominator, True
-
-
 def _normalize_signal(signal: ObservedSignal, tol):
     """Observation as integer bounds: value_i in [A_i, B_i] / D.
 
@@ -175,8 +167,8 @@ class Decoder:
 
     # -- general consistency decoding ------------------------------------
 
-    def consistent_ints(self, a, b, d, p, q, g, h, finite) -> list[Runs]:
-        """All codewords consistent with the observation [a, b]/d."""
+    def consistent_ints(self, a, b, d, p, q, g, h) -> list[Runs]:
+        """All codewords consistent with [a, b]/d; (p, q, g, h) is ChannelSpec.ints."""
         out = []
         gpd = g * p * d
         hq = h * q
@@ -185,21 +177,19 @@ class Decoder:
         for _, words in self._groups(a, b, p, q):
             for x in words:
                 x1 = x[0]  # inline first-run window; kills most candidates cheaply
-                if b0 < d * x1 or (finite and a0hq > gpd * x1):
+                if b0 < d * x1 or a0hq > gpd * x1:
                     continue
-                if self._feasible(x, a, b, d, p, q, gpd, hq, finite):
+                if self._feasible(x, a, b, d, p, q, gpd, hq):
                     out.append(x)
         out.sort()
         return out
 
-    def _feasible(self, x, a, b, d, p, q, gpd, hq, finite) -> bool:
+    def _feasible(self, x, a, b, d, p, q, gpd, hq) -> bool:
         # per-coordinate drift-factor windows: the candidate interval for T
         # from coordinate i is [a_i/(xi*x_i), b_i/x_i]; it must reach [1, gamma]
         for i in range(self.k):
             xi_ = x[i]
-            if b[i] < d * xi_:
-                return False
-            if finite and a[i] * hq > gpd * xi_:
+            if b[i] < d * xi_ or a[i] * hq > gpd * xi_:
                 return False
         # pairwise: interval lows cannot exceed interval highs
         for i in range(self.k):
@@ -218,16 +208,16 @@ class Decoder:
             self._alphabet = (alphabet, set(self.words))
         return self._alphabet
 
-    def fast_ints(self, a, b, d, p, q, g, h, finite) -> list[Runs]:
+    def fast_ints(self, a, b, d, p, q, g, h) -> list[Runs]:
         """Structured decode; returns the list of matches (want exactly one)."""
         structure = REGIMES[self.regime]
         if structure == "chain":
-            return self._fast_chain(a, b, d, p, q, g, h, finite)
+            return self._fast_chain(a, b, d, p, q, g, h)
         if structure == "alphabet":
             return self._fast_alphabet(a, b, d, p, q)
         raise ValueError(f"no structured decoder for regime {self.regime!r}")
 
-    def _fast_chain(self, a, b, d, p, q, g, h, finite):
+    def _fast_chain(self, a, b, d, p, q, g, h):
         matches = []
         for base, words in self._groups(a, b, p, q):
             x1 = base[0]
@@ -240,9 +230,8 @@ class Decoder:
                 for w in words:
                     if b[0] < d * w[0]:
                         break  # multipliers ascend; later ones only larger
-                    if finite and a[0] * h * q > g * p * d * w[0]:
-                        continue
-                    matches.append(w)
+                    if a[0] * h * q <= g * p * d * w[0]:
+                        matches.append(w)
         matches.sort()
         return matches
 
@@ -304,7 +293,7 @@ def consistent_codewords(
 ) -> list[Runs]:
     """Every codeword that some admissible realization maps onto the signal."""
     spec, (a, b, d) = _prepare(signal, codebook, spec, tol)
-    return get_decoder(codebook).consistent_ints(a, b, d, *_spec_ints(spec))
+    return get_decoder(codebook).consistent_ints(a, b, d, *spec.ints)
 
 
 def _unique(matches, signal) -> Runs:
@@ -346,6 +335,4 @@ def decode_fast(
             f"decode spec ({spec}) must match the codebook spec "
             f"({codebook.spec}) or be stricter"
         )
-    return _unique(
-        get_decoder(codebook).fast_ints(a, b, d, *_spec_ints(spec)), signal
-    )
+    return _unique(get_decoder(codebook).fast_ints(a, b, d, *spec.ints), signal)

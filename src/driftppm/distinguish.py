@@ -154,9 +154,7 @@ _BATCH = 1 << 13
 def scan_pairs(vertices: Sequence[Runs], spec: ChannelSpec) -> PairScan:
     """Every indistinguishable pair of vertices, by the candidate window."""
     vertices = list(vertices)
-    p, q = spec.xi.numerator, spec.xi.denominator
-    finite = not spec.unbounded_drift
-    g, h = (spec.gamma.numerator, spec.gamma.denominator) if finite else (1, 1)
+    p, q, g, h = spec.ints
     try:
         arr = np.asarray(vertices, dtype=np.int64)
     except OverflowError:
@@ -181,7 +179,7 @@ def scan_pairs(vertices: Sequence[Runs], spec: ChannelSpec) -> PairScan:
         columns = [np.ascontiguousarray(c) for c in arr.T]
 
         def exact(i, j):
-            return _int64_kernel(columns, i, j, p, q, g, h, finite)
+            return _int64_kernel(columns, i, j, p, q, g, h)
 
     # each unordered pair is found once; key it by its (low, high) index
     n = len(vertices)
@@ -237,12 +235,12 @@ def _candidates(vertices, arr, spec):
         a0 = a1
 
 
-def _int64_kernel(columns, i, j, p, q, g, h, finite):
+def _int64_kernel(columns, i, j, p, q, g, h):
     """Interval test on vertex pairs (i, j), vectorized in int64.
 
     Tracks m_hi = max_c x_c/y_c and m_lo = min_c x_c/y_c as numerator and
     denominator; the pair is indistinguishable iff m_hi <= xi^2 * m_lo,
-    m_hi <= gamma*xi, and m_lo >= 1/(gamma*xi).
+    m_hi <= gamma*xi and m_lo >= 1/(gamma*xi); (p, q, g, h) is ChannelSpec.ints.
     """
     hi_num = lo_num = columns[0][i]
     hi_den = lo_den = columns[0][j]
@@ -255,7 +253,6 @@ def _int64_kernel(columns, i, j, p, q, g, h, finite):
         lo_num = np.where(smaller, xc, lo_num)
         lo_den = np.where(smaller, yc, lo_den)
     keep = hi_num * lo_den * (q * q) <= lo_num * hi_den * (p * p)
-    if finite:
-        keep &= hi_num * (h * q) <= hi_den * (g * p)
-        keep &= lo_num * (g * p) >= lo_den * (h * q)
+    keep &= hi_num * (h * q) <= hi_den * (g * p)
+    keep &= lo_num * (g * p) >= lo_den * (h * q)
     return keep

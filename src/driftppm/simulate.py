@@ -21,7 +21,7 @@ from typing import Optional
 
 from .core import REGIMES, ChannelSpec, Codebook
 from .channel import derive_trial_seed, endpoint_ints, uniform_sampler
-from .decode import AmbiguityError, get_decoder, _spec_ints
+from .decode import AmbiguityError, get_decoder
 
 __all__ = ["TrialReport", "DEFAULT_T_CAP", "run_endpoint_roundtrips", "run_uniform_roundtrips"]
 
@@ -54,7 +54,7 @@ def _trial_runner(codebook, spec):
     spec = codebook.spec if spec is None else spec
     structured = REGIMES[codebook.regime] is not None
     decoder = get_decoder(codebook)
-    spec_ints = _spec_ints(spec)
+    spec_ints = spec.ints
     report = TrialReport()
 
     def run(codeword, realization):

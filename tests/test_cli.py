@@ -134,6 +134,29 @@ class TestSweep:
         assert best == sorted(best, reverse=True)
         assert all(b >= float(line.split(",")[2]) for b, line in zip(best, lines[1:]))
 
+    def test_best_column_is_by_xi_value_not_position(self, capsys):
+        # the xi=21/20 code (110 words) is not zero-error at xi=3/2, so it
+        # cannot be the best at 3/2 even though it comes later in the list
+        code, out, _ = run(
+            capsys, "sweep", "--param", "xi", "--values", "3/2,21/20",
+            "--k", "2", "--M", "65", "--gamma", "7/4",
+        )
+        assert code == 0
+        rows = out.splitlines()[1:]
+        assert rows[0].startswith("3/2,") and rows[0].endswith(",3.4594")
+        # a permuted list gives each value the row it has in the sorted one
+        values = ["1", "21/20", "11/10", "6/5", "3/2", "2"]
+        permuted = [values[i] for i in (4, 0, 5, 2, 1, 3)]
+        by_value = {}
+        for grid in (values, permuted):
+            code, out, _ = run(
+                capsys, "sweep", "--param", "xi", "--values", ",".join(grid),
+                "--k", "2", "--M", "65", "--gamma", "7/4",
+            )
+            assert code == 0
+            by_value[tuple(grid)] = sorted(out.splitlines()[1:])
+        assert by_value[tuple(values)] == by_value[tuple(permuted)]
+
     def test_byte_identical_reruns(self, capsys, tmp_path):
         paths = [tmp_path / "a.csv", tmp_path / "b.csv"]
         for path in paths:

@@ -157,6 +157,13 @@ class TestChains:
 
     def test_infinite_step(self):
         assert geometric_multipliers(INFINITY, 100) == [1]
+        assert geometric_multipliers("inf", 100) == [1]
+
+    def test_step_refusals(self):
+        with pytest.raises(TypeError, match="^step ratio must be exact"):
+            geometric_multipliers(1.5, 100)
+        with pytest.raises(ValueError, match="^step ratio must be >= 1"):
+            geometric_multipliers(F(1, 2), 100)
 
     @given(st.integers(1, 12), st.integers(0, 40), st.integers(0, 3000))
     @example(2, 2, 100)  # step 2: every step * d is an integer

@@ -196,6 +196,24 @@ class TestChannelSpec:
         assert ChannelSpec(1, 2).is_stricter_or_equal(ChannelSpec(2, INFINITY))
         assert not ChannelSpec(2, 1).is_stricter_or_equal(ChannelSpec(1, 1))
 
+    def test_float_gamma_refused(self):
+        with pytest.raises(TypeError, match="^gamma must be exact"):
+            ChannelSpec(1, 1.75)
+        assert ChannelSpec(1, math.inf).gamma == INFINITY
+        assert ChannelSpec(1, " inf").gamma == INFINITY
+
+    @given(
+        st.fractions(min_value=0, max_value=16, max_denominator=64).filter(lambda r: r > 0),
+        st.sampled_from([F(1), F(21, 20), F(3, 2), F(2)]),
+        st.sampled_from([F(1), F(3, 2), F(7, 4), F(4), INFINITY]),
+    )
+    def test_ints_decide_drift_tests_exactly(self, r, xi, gamma):
+        # h = 0 stands for unbounded drift: both cross-multiplied tests hold
+        p, q, g, h = ChannelSpec(xi, gamma).ints
+        assert F(p, q) == xi
+        assert (r <= gamma) == (r.numerator * h <= r.denominator * g)
+        assert (r * gamma >= 1) == (r.numerator * g >= r.denominator * h)
+
 
 class TestCodebook:
     def test_rejects_unsorted(self):

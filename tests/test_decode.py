@@ -27,7 +27,6 @@ from driftppm.decode import (
     get_decoder,
     _DECODER_CACHE,
     _normalize_signal,
-    _spec_ints,
 )
 
 
@@ -228,12 +227,12 @@ class TestJitterlessLookup:
         if data.draw(st.booleans()):
             signal = signal.as_floats()
         gamma = data.draw(st.sampled_from([F(1), F(7, 4), F(4), INFINITY]))
-        p, q, g, h, finite = spec_ints = _spec_ints(ChannelSpec(xi, gamma))
+        p, q, g, h = spec_ints = ChannelSpec(xi, gamma).ints
         a, b, d = _normalize_signal(signal, None)
         decoder = Decoder(book)
         scan = [
             w for w in book.codewords
-            if decoder._feasible(w, a, b, d, p, q, g * p * d, h * q, finite)
+            if decoder._feasible(w, a, b, d, p, q, g * p * d, h * q)
         ]
         assert decoder.consistent_ints(a, b, d, *spec_ints) == scan
 
@@ -278,7 +277,7 @@ class TestFastMatchesGeneral:
             values = [t * (1 + (spec.xi - 1) * data.draw(unit)) * r for r in word]
         a, d = _exact_ints(values)
         decoder = Decoder(book)
-        spec_ints = _spec_ints(spec)
+        spec_ints = spec.ints
         general = decoder.consistent_ints(a, a, d, *spec_ints)
         assert decoder.fast_ints(a, a, d, *spec_ints) == general
         if spec.xi > 1:
