@@ -151,22 +151,31 @@ def uniform_sampler(spec: ChannelSpec, k: int, t_cap=None):
     return draw
 
 
+def _corners(k: int) -> Iterator[tuple[int, tuple[int, ...]]]:
+    """Each corner as (T high, (Z_1 high, ..., Z_k high)), 0 or 1, in index order.
+
+    Bit 0 of the index selects T low/high and bit i selects Z_i.
+    """
+    for index in range(1 << (k + 1)):
+        yield index & 1, tuple(index >> i & 1 for i in range(1, k + 1))
+
+
 def endpoint_ints(spec: ChannelSpec, k: int, t_cap=None) -> list[tuple[int, list[int]]]:
     """The corner realizations in index order, each as (d, c) for Y_i = c_i * x_i / d."""
-    d = _upper_drift(spec, t_cap).denominator * spec.xi.denominator
-    corners = endpoint_realizations(spec, k, t_cap)
-    return [(d, [int(r.t * z * d) for z in r.z]) for r in corners]
+    hi_t = _upper_drift(spec, t_cap)
+    xi = spec.xi
+    # with d = den(T_hi) * den(xi), the factor t*z*d of each low/high choice
+    t_factor = (hi_t.denominator, hi_t.numerator)
+    z_factor = (xi.denominator, xi.numerator)
+    d = hi_t.denominator * xi.denominator
+    return [(d, [t_factor[t] * z_factor[z] for z in zs]) for t, zs in _corners(k)]
 
 
 def endpoint_realizations(
     spec: ChannelSpec, k: int, t_cap=None
 ) -> Iterator[ChannelRealization]:
-    """All 2^(k+1) corner realizations, in index order.
-
-    Bit 0 of the index selects T low/high and bit i selects Z_i.
-    """
-    hi_t = _upper_drift(spec, t_cap)
-    for index in range(1 << (k + 1)):
-        t = hi_t if index & 1 else Fraction(1)
-        z = tuple(spec.xi if index >> i & 1 else Fraction(1) for i in range(1, k + 1))
-        yield ChannelRealization(t, z)
+    """All 2^(k+1) corner realizations, in the index order of _corners."""
+    t_values = (Fraction(1), _upper_drift(spec, t_cap))
+    z_values = (Fraction(1), spec.xi)
+    for t, zs in _corners(k):
+        yield ChannelRealization(t_values[t], tuple(z_values[z] for z in zs))

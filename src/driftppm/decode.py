@@ -19,6 +19,10 @@ other observation picks the groups whose first ratio x_2/x_1 lies within a
 jitter factor of the observed one (every group, for one run).  The decoders
 share only which words they look at: each decides membership on its own.
 
+A round-trip driver decodes many exact point observations of one codebook
+at once through Decoder.decode_points: the same candidates and the same
+exact predicates, evaluated as int64 arrays.
+
 Out-of-spec signals raise NoCodewordError -- a receiver-side convention, not
 a channel-model claim; ambiguity always raises, never tie-breaks.
 """
@@ -29,7 +33,10 @@ import math
 import weakref
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional
+
+import numpy as np
 
 from .core import REGIMES, ChannelSpec, Codebook, Runs
 from .channel import ObservedSignal
@@ -48,6 +55,20 @@ __all__ = [
 
 #: Relative widening applied to float-mode observations.
 DEFAULT_FLOAT_TOLERANCE = Fraction(1, 10**9)
+
+# Products in the batched point decoder stay below this; past it a caller
+# decodes one observation at a time.
+_INT64_GUARD = 1 << 62
+# Observations and runs below this convert to floats exactly.
+_FLOAT_EXACT = 1 << 53
+# Relative margin on a float window end.  Between them, a word's float key
+# w_2/w_1 and a computed window end hold at most eight correctly rounded
+# operations, each within 2^-53 of its exact value, so widening the end by
+# this factor keeps every word whose exact ratio lies inside the exact window.
+_MARGIN = 1 + 2.0**-32
+# (observation, codeword) candidate pairs tested per batch, which bounds the
+# batched decoder's memory.
+_BATCH = 1 << 12
 
 
 class DecodeError(Exception):
@@ -84,6 +105,38 @@ def _primitive(runs) -> Runs:
     """The run vector divided by its gcd."""
     div = math.gcd(*runs)
     return tuple([r // div for r in runs])
+
+
+def _primitive_columns(cols):
+    """Each column of a positive int64 array divided by its gcd."""
+    return cols // np.gcd.reduce(cols, axis=0)
+
+
+def _radix(digits, base):
+    """Each column of digits below base as one int64, in the columns'
+    lexicographic order."""
+    key = np.zeros(digits.shape[1], dtype=np.int64)
+    for row in digits:
+        key = key * base + row
+    return key
+
+
+def _candidate_pairs(order, starts, ends):
+    """Yield batches (row, word): word order[s] for each s in [starts[r],
+    ends[r]), row by row, about _BATCH pairs a batch (a larger row alone)."""
+    sizes = ends - starts
+    stops = np.cumsum(sizes)
+    r0 = 0
+    while r0 < len(sizes):
+        base = int(stops[r0 - 1]) if r0 else 0
+        r1 = max(r0 + 1, int(np.searchsorted(stops, base + _BATCH, side="right")))
+        size = sizes[r0:r1]
+        row = np.repeat(np.arange(r0, r1), size)
+        # pair number (from base) of row r's candidate at position s is
+        # s + stops[r] - size[r] - starts[r] - base
+        shift = np.repeat(stops[r0:r1] - size - starts[r0:r1] - base, size)
+        yield row, order[np.arange(len(row)) - shift]
+        r0 = r1
 
 
 def _normalize_signal(signal: ObservedSignal, tol):
@@ -252,6 +305,121 @@ class Decoder:
             runs.append(alphabet[i0])
         word = tuple(runs)
         return [word] if word in wordset else []
+
+    # -- batched point decoding --------------------------------------------
+
+    def points_fit_int64(self, scale, d, p, q, g, h) -> bool:
+        """True iff decode_points is exact for observations c_i*x_i/d of
+        codewords x with every c_i <= scale: every product it forms stays
+        below _INT64_GUARD, and every observation converts to a float
+        exactly."""
+        x = max(map(max, self.words))
+        top = scale * x
+        products = (top * p * x, top * h * q, g * p * d * x, (x + 1) ** self.k)
+        return top < _FLOAT_EXACT and max(products) < _INT64_GUARD
+
+    def decode_points(self, obs, d, p, q, g, h):
+        """consistent_ints and fast_ints on many exact point observations.
+
+        obs is an int64 array, one row of k values per observation, each
+        read as obs/d, within points_fit_int64; (p, q, g, h) is
+        ChannelSpec.ints.  Returns (general, structured): per row, the index
+        in self.words of the one codeword that consistent_ints, and
+        fast_ints, would return, or -1 when either would return none or
+        several, or raise.  structured is None for a regime without a
+        structured decoder.
+        """
+        rows = len(obs)
+        structure = REGIMES[self.regime]
+        a_cols, x_cols = np.ascontiguousarray(obs.T), self._word_columns
+        counts = np.zeros((2, rows), dtype=np.int64)
+        found = np.full((2, rows), -1, dtype=np.int64)
+        gpd, hq = g * p * d, h * q
+        for r, w in _candidate_pairs(*self._point_windows(a_cols, p, q)):
+            # both decoders test the first run's drift window, which most
+            # candidates fail; the rest is tested on the survivors
+            a, x = a_cols[0, r], x_cols[0, w]
+            keep = (d * x <= a) & (a * hq <= gpd * x)
+            r, w = r[keep], w[keep]
+            a, x = a_cols[:, r], x_cols[:, w]
+            # pair[i, j] is a_i*q*x_j <= a_j*p*x_i, true when i == j
+            pair = (a * q)[:, None] * x[None] <= x[:, None] * (a * p)[None]
+            # _feasible: every run's drift window and every pair
+            window = (d * x[1:] <= a[1:]) & (a[1:] * hq <= gpd * x[1:])
+            hits = [window.all(0) & pair.all((0, 1))]
+            if structure == "chain":
+                # _fast_chain: each ratio x_c/x_1 in its window (for c = 2,
+                # the bounds _groups gives it)
+                hits.append(pair[0].all(0) & pair[:, 0].all(0))
+            for s, hit in enumerate(hits):
+                counts[s] += np.bincount(r[hit], minlength=rows)
+                found[s, r[hit]] = w[hit]
+        unique = np.where(counts == 1, found, -1)
+        if structure == "chain":
+            return unique[0], unique[1]
+        if structure == "alphabet":
+            return unique[0], self._alphabet_points(a_cols, d, p, q)
+        return unique[0], None
+
+    @cached_property
+    def _word_columns(self):
+        return np.ascontiguousarray(np.array(self.words, dtype=np.int64).T)
+
+    def _point_windows(self, a_cols, p, q):
+        """(order, starts, ends): the candidates for observation r (column r
+        of a_cols) are the words order[starts[r]:ends[r]], the groups
+        _groups gives it plus words the exact tests reject."""
+        n, rows = len(self.words), a_cols.shape[1]
+        if self.k == 1:
+            return np.arange(n), np.zeros(rows, dtype=np.int64), np.full(rows, n)
+        if p == q:
+            # a consistent codeword has the observation's primitive vector;
+            # clipping its runs below base can only add candidates
+            base, keys, order = self._primitive_keys
+            key = _radix(np.minimum(_primitive_columns(a_cols), base - 1), base)
+            return order, np.searchsorted(keys, key), np.searchsorted(keys, key, side="right")
+        keys, order = self._ratio_keys
+        ratio = a_cols[1] / a_cols[0]
+        factor = p / q * _MARGIN
+        return (
+            order,
+            np.searchsorted(keys, ratio / factor),
+            np.searchsorted(keys, ratio * factor, side="right"),
+        )
+
+    @cached_property
+    def _primitive_keys(self):
+        # (base, sorted keys, word order): every primitive run is below base
+        prim = _primitive_columns(self._word_columns)
+        base = int(prim.max()) + 1
+        keys = _radix(prim, base)
+        order = np.argsort(keys, kind="stable")
+        return base, keys[order], order
+
+    @cached_property
+    def _ratio_keys(self):
+        # (sorted float first ratios x_2/x_1, word order)
+        x_cols = self._word_columns
+        keys = x_cols[1] / x_cols[0]
+        order = np.argsort(keys, kind="stable")
+        return keys[order], order
+
+    @cached_property
+    def _alphabet_keys(self):
+        # (alphabet, word keys); codewords ascend, and so do their keys
+        alphabet = np.array(self._alphabet_index()[0], dtype=np.int64)
+        keys = _radix(np.searchsorted(alphabet, self._word_columns), len(alphabet) + 1)
+        return alphabet, keys
+
+    def _alphabet_points(self, a_cols, d, p, q):
+        # _fast_alphabet: run i must match one alphabet value l, with
+        # p*d*l >= a_i*q and d*l <= a_i, and the runs must form a codeword
+        alphabet, keys = self._alphabet_keys
+        lo = np.searchsorted(alphabet, -(-a_cols * q // (p * d)))
+        hi = np.searchsorted(alphabet, a_cols // d, side="right")
+        key = _radix(lo, len(alphabet) + 1)
+        at = np.minimum(np.searchsorted(keys, key), len(keys) - 1)
+        return np.where((hi - lo == 1).all(0) & (keys[at] == key), at, -1)
 
 
 _DECODER_CACHE: dict = {}

@@ -182,7 +182,6 @@ def test_criterion_2_figure_points():
     report(2, "figure points", failures)
 
 
-@pytest.mark.slow
 def test_criterion_3_zero_error_everywhere(grid):
     failures = []
     seen = set()
@@ -252,7 +251,6 @@ def test_criterion_4_oracle_optimality():
     report(4, "oracle optimality", failures)
 
 
-@pytest.mark.slow
 def test_criterion_5_round_trip_decoding(grid):
     failures = []
     for cb in grid:

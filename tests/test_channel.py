@@ -150,7 +150,11 @@ class TestIntegerRealizations:
         assert (r.t, r.z) == (t, tuple(z))
 
     def test_endpoint_ints_match_realizations(self):
-        for spec, t_cap in ((ChannelSpec(F(3, 2), F(7, 4)), None), (ChannelSpec(2, INFINITY), 5)):
+        for spec, t_cap in (
+            (ChannelSpec(F(3, 2), F(7, 4)), None),
+            (ChannelSpec(2, INFINITY), 5),
+            (ChannelSpec(F(21, 20), INFINITY), F(17, 3)),
+        ):
             for k in (1, 2, 3):
                 corners = [
                     [r.t * z for z in r.z] for r in endpoint_realizations(spec, k, t_cap)

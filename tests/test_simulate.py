@@ -1,15 +1,117 @@
+import importlib
+import math
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from driftppm.core import INFINITY, REGIMES, ChannelSpec, Codebook
+from driftppm.channel import endpoint_realizations
 from driftppm.constructions import (
     code_bounded_drift,
     code_gcd,
     code_jitter,
     code_jitter_unbounded_drift,
+    construct,
 )
-from driftppm.simulate import run_endpoint_roundtrips, run_uniform_roundtrips
+from driftppm.decode import AmbiguityError, Decoder
+from driftppm.simulate import (
+    DEFAULT_T_CAP,
+    TrialReport,
+    run_endpoint_roundtrips,
+    run_uniform_roundtrips,
+)
+
+# the package re-exports the function decode under the module's name
+decode_module = importlib.import_module("driftppm.decode")
+
+XIS = (F(1), F(21, 20), F(3, 2), F(2))
+GAMMAS = (F(1), F(3, 2), F(7, 4), F(4), INFINITY)
+
+
+def oracle_report(codebook, spec=None, t_cap=None, trials=None):
+    """(trials, failures, examples, corner_failures) of the endpoint round
+    trips, one trial at a time through consistent_ints and fast_ints of a
+    fresh Decoder, each corner taken exactly from endpoint_realizations."""
+    spec = codebook.spec if spec is None else spec
+    ints = spec.ints
+    decoder = Decoder(codebook)
+    t_cap = DEFAULT_T_CAP if t_cap is None else t_cap
+    corners = []  # (d, c): the corner's factors T*Z_i are c_i/d
+    for r in endpoint_realizations(spec, codebook.k, t_cap):
+        factors = [r.t * z for z in r.z]
+        d = math.lcm(*(f.denominator for f in factors))
+        corners.append((d, [int(f * d) for f in factors]))
+    words = codebook.codewords
+    n = len(words)
+    total = n * len(corners) if trials is None else trials
+    corner_failures = [0] * len(corners)
+    examples = []
+    for t in range(total):
+        word, corner = words[t % n], t // n % len(corners)
+        d, c = corners[corner]
+        a = [ci * x for ci, x in zip(c, word)]
+        details = []
+        got = decoder.consistent_ints(a, a, d, *ints)
+        if got != [word]:
+            details.append(f"general decode gave {got}")
+        if REGIMES[codebook.regime] is not None:
+            try:
+                fast = decoder.fast_ints(a, a, d, *ints)
+            except AmbiguityError:
+                fast = None
+            if fast != [word]:
+                details.append(f"structured decode gave {fast}")
+        corner_failures[corner] += len(details)
+        examples += [(word, detail) for detail in details]
+    return total, sum(corner_failures), examples[:10], corner_failures
+
+
+def assert_matches_oracle(codebook, **kwargs):
+    report = run_endpoint_roundtrips(codebook, **kwargs)
+    got = (report.trials, report.failures, report.examples, report.corner_failures)
+    assert got == oracle_report(codebook, **kwargs)
+    return report
+
+
+def constructed(k, m):
+    """Every construction for k pulses in m bins over the XIS x GAMMAS grid."""
+    books = []
+    for xi in XIS:
+        for gamma in GAMMAS:
+            for regime in REGIMES:
+                try:
+                    books.append(construct(k, m, xi, gamma, regime))
+                except ValueError:  # the regime is undefined here
+                    pass
+    return books
+
+
+@st.composite
+def planted_codebooks(draw):
+    """Random words plus words confusable exactly at a decoder's edge,
+    under any regime tag."""
+    k = draw(st.integers(1, 3))
+    spec = ChannelSpec(draw(st.sampled_from(XIS)), draw(st.sampled_from(GAMMAS)))
+    p, q = spec.xi.numerator, spec.xi.denominator
+    run = st.integers(1, 12)
+    words = draw(st.lists(st.tuples(*[run] * k), max_size=12))
+    base = draw(st.tuples(*[run] * k))
+    # several multiples of one primitive vector
+    multipliers = draw(st.lists(st.integers(1, 4), min_size=2, max_size=4))
+    words += [tuple(c * r for r in base) for c in multipliers]
+    if k >= 2:
+        a, b = draw(run), draw(run)
+        rest = draw(st.tuples(*[run] * (k - 2)))
+        # first ratios whose ratio is exactly xi^2
+        words += [(q * a, p * b, *rest), (p * a, q * b, *rest)]
+    if not spec.unbounded_drift:
+        g, h = spec.gamma.numerator, spec.gamma.denominator
+        # every run ratio, so m_hi, exactly gamma*xi
+        words += [tuple(g * p * r for r in base), tuple(h * q * r for r in base)]
+    words = sorted(set(words))
+    regime = draw(st.sampled_from(list(REGIMES)))
+    return Codebook(k, max(map(sum, words)), spec, regime, tuple(words))
 
 
 class TestEndpointRoundtrips:
@@ -65,6 +167,77 @@ class TestUniformRoundtrips:
         cb = code_gcd(2, 10)
         with pytest.raises(ValueError):
             run_uniform_roundtrips(cb, 10, seed=1)
+
+
+class TestBatchedEndpoints:
+    """The batched endpoint driver against a per-trial oracle."""
+
+    @pytest.mark.parametrize("k, m", [(1, 16), (2, 11), (3, 7)])
+    def test_constructed_codebooks(self, k, m):
+        for book in constructed(k, m):
+            report = assert_matches_oracle(book)
+            assert report.ok and report.kernel == "int64"
+            # a looser spec confuses words; both counts and examples match
+            xi, gamma = book.spec.xi * F(3, 2), book.spec.gamma * 2
+            assert_matches_oracle(book, spec=ChannelSpec(xi, gamma))
+
+    @settings(max_examples=80, deadline=None)
+    @given(planted_codebooks(), st.data())
+    def test_planted_codebooks(self, book, data):
+        full = len(book) << (book.k + 1)
+        trials = data.draw(st.none() | st.integers(0, 2 * full + 3))
+        report = assert_matches_oracle(book, trials=trials)
+        assert report.kernel == "int64"
+
+    def test_looser_specs_and_caps(self):
+        book = code_jitter_unbounded_drift(14, F(3, 2))
+        for t_cap in (1, F(7, 2), 8, 10**6):
+            assert_matches_oracle(book, t_cap=t_cap)
+            assert_matches_oracle(book, spec=ChannelSpec(2, INFINITY), t_cap=t_cap)
+        book = code_bounded_drift(3, 9, F(3, 2))
+        for gamma in (F(7, 4), 4, INFINITY):
+            assert_matches_oracle(book, spec=ChannelSpec(1, gamma), t_cap=5)
+
+    def test_round_robin_trial_counts(self):
+        book = code_jitter(2, 12, F(3, 2))
+        spec = ChannelSpec(2, INFINITY)  # looser: some trials fail
+        n = len(book)
+        for trials in (0, 1, n - 1, n + 1, 3 * n + 5, 8 * n, 8 * n + 7, 20 * n + 3):
+            report = assert_matches_oracle(book, spec=spec, trials=trials, t_cap=4)
+            assert report.trials == trials
+
+    def test_scalar_fallback(self, monkeypatch):
+        book = code_jitter(2, 12, 2)
+        spec = ChannelSpec(2, INFINITY)
+        batched = assert_matches_oracle(book, spec=spec, t_cap=4)
+        monkeypatch.setattr(decode_module, "_INT64_GUARD", 0)
+        scalar = assert_matches_oracle(book, spec=spec, t_cap=4)
+        assert (batched.kernel, scalar.kernel) == ("int64", "scalar")
+        assert scalar == TrialReport(**{**vars(batched), "kernel": "scalar"})
+        assert scalar.failures > 0
+
+    def test_huge_cap_runs_scalar(self):
+        report = assert_matches_oracle(code_gcd(2, 8), t_cap=10**30)
+        assert report.kernel == "scalar" and report.ok
+
+    def test_corner_failures(self):
+        report = run_endpoint_roundtrips(
+            code_jitter(2, 12, 2), spec=ChannelSpec(2, INFINITY), t_cap=4
+        )
+        assert len(report.corner_failures) == 8
+        assert sum(report.corner_failures) == report.failures > 0
+        uniform = run_uniform_roundtrips(code_jitter(2, 12, 2), 20, seed=1)
+        assert (uniform.kernel, uniform.corner_failures) == ("scalar", [])
+
+
+class TestTrialCounts:
+    def test_negative_endpoint_trials(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            run_endpoint_roundtrips(code_gcd(2, 10), trials=-3)
+
+    def test_negative_uniform_trials(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            run_uniform_roundtrips(code_gcd(2, 10), -3, seed=1, t_cap=2)
 
 
 def test_every_construction_regime_is_cross_checked():
