@@ -11,6 +11,7 @@ interior points.
 from __future__ import annotations
 
 import hashlib
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -57,6 +58,8 @@ class ObservedSignal:
     def __post_init__(self):
         if not self.values:
             raise ValueError("empty signal")
+        if any(isinstance(v, float) and not math.isfinite(v) for v in self.values):
+            raise ValueError("observations must be finite")
         if any(v <= 0 for v in self.values):
             raise ValueError("observations must be strictly positive")
 
@@ -136,19 +139,21 @@ def _grid_steps(hi: Fraction) -> tuple[int, int]:
 def uniform_sampler(spec: ChannelSpec, k: int, t_cap=None):
     """Integer form of uniform sampling, for round-trip drivers.
 
-    Returns draw(rng) -> (d, c): the realization that sample_realization
-    would draw from the same generator state, as integers, so that a word x
-    is observed as Y_i = c_i * x_i / d.  It makes the same generator calls.
+    Returns (d, top, draw): draw(rng) -> c is the realization that
+    sample_realization would draw from the same generator state, as
+    integers, so that a word x is observed as Y_i = c_i * x_i / d; no c_i
+    exceeds top.  It makes the same generator calls.
     """
-    td, t_step = _grid_steps(_upper_drift(spec, t_cap))
+    hi_t = _upper_drift(spec, t_cap)
+    td, t_step = _grid_steps(hi_t)
     zd, z_step = _grid_steps(spec.xi)
-    d = td * zd
 
-    def draw(rng: random.Random) -> tuple[int, list[int]]:
+    def draw(rng: random.Random) -> list[int]:
         t = td + t_step * rng.getrandbits(_GRID_BITS)
-        return d, [t * (zd + z_step * rng.getrandbits(_GRID_BITS)) for _ in range(k)]
+        return [t * (zd + z_step * rng.getrandbits(_GRID_BITS)) for _ in range(k)]
 
-    return draw
+    # T <= hi_t and Z_i <= xi, over the grid denominators td and zd
+    return td * zd, (hi_t.numerator * spec.xi.numerator) << (2 * _GRID_BITS), draw
 
 
 def _corners(k: int) -> Iterator[tuple[int, tuple[int, ...]]]:

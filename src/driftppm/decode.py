@@ -21,7 +21,8 @@ share only which words they look at: each decides membership on its own.
 
 A round-trip driver decodes many exact point observations of one codebook
 at once through Decoder.decode_points: the same candidates and the same
-exact predicates, evaluated as int64 arrays.
+exact predicates, evaluated as int64 arrays where every product fits and as
+arrays of Python ints (dtype object) otherwise.
 
 Out-of-spec signals raise NoCodewordError -- a receiver-side convention, not
 a channel-model claim; ambiguity always raises, never tie-breaks.
@@ -56,10 +57,10 @@ __all__ = [
 #: Relative widening applied to float-mode observations.
 DEFAULT_FLOAT_TOLERANCE = Fraction(1, 10**9)
 
-# Products in the batched point decoder stay below this; past it a caller
-# decodes one observation at a time.
+# int64 products in the batched point decoder stay below this; past it the
+# decoder runs on Python ints.
 _INT64_GUARD = 1 << 62
-# Observations and runs below this convert to floats exactly.
+# Integers below this convert to floats exactly.
 _FLOAT_EXACT = 1 << 53
 # Relative margin on a float window end.  Between them, a word's float key
 # w_2/w_1 and a computed window end hold at most eight correctly rounded
@@ -108,14 +109,15 @@ def _primitive(runs) -> Runs:
 
 
 def _primitive_columns(cols):
-    """Each column of a positive int64 array divided by its gcd."""
+    """Each column of a positive integer array divided by its gcd."""
     return cols // np.gcd.reduce(cols, axis=0)
 
 
 def _radix(digits, base):
-    """Each column of digits below base as one int64, in the columns'
-    lexicographic order."""
-    key = np.zeros(digits.shape[1], dtype=np.int64)
+    """Each column of digits below base as one integer, in the columns'
+    lexicographic order: int64 when every key fits, else Python ints."""
+    digits = digits.astype(np.int64 if base ** len(digits) < _INT64_GUARD else object)
+    key = np.zeros(digits.shape[1], dtype=digits.dtype)
     for row in digits:
         key = key * base + row
     return key
@@ -308,30 +310,30 @@ class Decoder:
 
     # -- batched point decoding --------------------------------------------
 
-    def points_fit_int64(self, scale, d, p, q, g, h) -> bool:
-        """True iff decode_points is exact for observations c_i*x_i/d of
-        codewords x with every c_i <= scale: every product it forms stays
-        below _INT64_GUARD, and every observation converts to a float
-        exactly."""
-        x = max(map(max, self.words))
+    def point_dtype(self, scale, d, p, q, g, h):
+        """The dtype decode_points runs in for observations c_i*x_i/d of
+        codewords x with every c_i <= scale: int64 when every product it
+        forms stays below _INT64_GUARD and every observation converts to a
+        float exactly, else object (the same code on Python ints)."""
+        x = self._top
         top = scale * x
-        products = (top * p * x, top * h * q, g * p * d * x, (x + 1) ** self.k)
-        return top < _FLOAT_EXACT and max(products) < _INT64_GUARD
+        fits = top < _FLOAT_EXACT and max(top * p * x, top * h * q, g * p * d * x) < _INT64_GUARD
+        return np.int64 if fits else object
 
     def decode_points(self, obs, d, p, q, g, h):
         """consistent_ints and fast_ints on many exact point observations.
 
-        obs is an int64 array, one row of k values per observation, each
-        read as obs/d, within points_fit_int64; (p, q, g, h) is
-        ChannelSpec.ints.  Returns (general, structured): per row, the index
-        in self.words of the one codeword that consistent_ints, and
-        fast_ints, would return, or -1 when either would return none or
-        several, or raise.  structured is None for a regime without a
-        structured decoder.
+        obs is an array of point_dtype, one row of k values per observation,
+        each read as obs/d; (p, q, g, h) is ChannelSpec.ints.  Returns
+        (general, structured): per row, the index in self.words of the one
+        codeword that consistent_ints, and fast_ints, would return, or -1
+        when either would return none or several, or raise.  structured is
+        None for a regime without a structured decoder.
         """
         rows = len(obs)
         structure = REGIMES[self.regime]
-        a_cols, x_cols = np.ascontiguousarray(obs.T), self._word_columns
+        a_cols = np.ascontiguousarray(obs.T)
+        x_cols = self._word_columns.astype(obs.dtype, copy=False)
         counts = np.zeros((2, rows), dtype=np.int64)
         found = np.full((2, rows), -1, dtype=np.int64)
         gpd, hq = g * p * d, h * q
@@ -362,24 +364,33 @@ class Decoder:
         return unique[0], None
 
     @cached_property
+    def _top(self):
+        return max(map(max, self.words))
+
+    @cached_property
     def _word_columns(self):
-        return np.ascontiguousarray(np.array(self.words, dtype=np.int64).T)
+        # int64 when every run fits, else Python ints
+        words = np.array(self.words, dtype=np.int64 if self._top < _INT64_GUARD else object)
+        return np.ascontiguousarray(words.T)
 
     def _point_windows(self, a_cols, p, q):
         """(order, starts, ends): the candidates for observation r (column r
         of a_cols) are the words order[starts[r]:ends[r]], the groups
         _groups gives it plus words the exact tests reject."""
         n, rows = len(self.words), a_cols.shape[1]
-        if self.k == 1:
-            return np.arange(n), np.zeros(rows, dtype=np.int64), np.full(rows, n)
-        if p == q:
+        if self.k > 1 and p == q:
             # a consistent codeword has the observation's primitive vector;
             # clipping its runs below base can only add candidates
             base, keys, order = self._primitive_keys
             key = _radix(np.minimum(_primitive_columns(a_cols), base - 1), base)
             return order, np.searchsorted(keys, key), np.searchsorted(keys, key, side="right")
+        if self.k == 1 or self._top >= _FLOAT_EXACT or p >= q * _FLOAT_EXACT:
+            # one run, runs past exact floats, or xi of 2^53 or more: every word
+            return np.arange(n), np.zeros(rows, dtype=np.int64), np.full(rows, n)
         keys, order = self._ratio_keys
-        ratio = a_cols[1] / a_cols[0]
+        # one correctly rounded division, of exact floats in int64 and of the
+        # Python ints themselves otherwise
+        ratio = (a_cols[1] / a_cols[0]).astype(float)
         factor = p / q * _MARGIN
         return (
             order,
@@ -407,8 +418,9 @@ class Decoder:
     @cached_property
     def _alphabet_keys(self):
         # (alphabet, word keys); codewords ascend, and so do their keys
-        alphabet = np.array(self._alphabet_index()[0], dtype=np.int64)
-        keys = _radix(np.searchsorted(alphabet, self._word_columns), len(alphabet) + 1)
+        x_cols = self._word_columns
+        alphabet = np.array(self._alphabet_index()[0], dtype=x_cols.dtype)
+        keys = _radix(np.searchsorted(alphabet, x_cols), len(alphabet) + 1)
         return alphabet, keys
 
     def _alphabet_points(self, a_cols, d, p, q):

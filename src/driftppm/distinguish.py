@@ -21,7 +21,9 @@ inside [1/xi^2, xi^2].  For k = 1 the one ratio x/y lies in
 The inputs are sorted once by that key, and every pair inside a window of
 that factor is a candidate.  A float may locate a window, with a margin that
 keeps every confusable pair; where runs or the factor do not fit a float,
-every pair is a candidate.  The exact test decides every candidate.
+every pair is a candidate.  The exact test decides every candidate: one
+vectorized interval test, run in int64 where every product fits and on
+Python ints (dtype object) otherwise.
 """
 
 from __future__ import annotations
@@ -120,7 +122,7 @@ class PairScan:
 
     Pair t is (first[t], second[t]), first < second, in ascending order.
     ``candidates`` pairs reached the exact test, which ran as ``kernel``:
-    "int64" (vectorized) or "scalar" (`indistinguishable` per pair).
+    "int64", or "scalar" (the same vectorized test on Python ints).
     """
 
     first: np.ndarray
@@ -132,8 +134,8 @@ class PairScan:
         return list(zip(self.first.tolist(), self.second.tolist()))
 
 
-# int64 products in the vectorized kernel stay below this; larger parameter
-# combinations fall back to the exact scalar predicate.
+# int64 products in the pair kernel stay below this; past it the kernel runs
+# on Python ints.
 _INT64_GUARD = 1 << 62
 # Windows are located in floats only for runs below this, where every run
 # converts to a float exactly.
@@ -155,39 +157,17 @@ def scan_pairs(vertices: Sequence[Runs], spec: ChannelSpec) -> PairScan:
     """Every indistinguishable pair of vertices, by the candidate window."""
     vertices = list(vertices)
     p, q, g, h = spec.ints
-    try:
-        arr = np.asarray(vertices, dtype=np.int64)
-    except OverflowError:
-        arr = None
-    mx = max(max(v) for v in vertices) if arr is None else int(arr.max(initial=0))
+    mx = max(map(max, vertices), default=0)
     scalar = max(p * p, q * q, g * p, h * q) * mx * mx >= _INT64_GUARD
-    if mx >= _FLOAT_EXACT:
-        arr = None
-    if scalar:
-
-        def exact(i, j):
-            return np.fromiter(
-                (
-                    indistinguishable(vertices[a], vertices[b], spec)
-                    for a, b in zip(i.tolist(), j.tolist())
-                ),
-                dtype=bool,
-                count=len(i),
-            )
-
-    else:
-        columns = [np.ascontiguousarray(c) for c in arr.T]
-
-        def exact(i, j):
-            return _int64_kernel(columns, i, j, p, q, g, h)
-
+    arr = np.array(vertices, dtype=object if scalar else np.int64)
+    columns = [np.ascontiguousarray(c) for c in arr.T]
     # each unordered pair is found once; key it by its (low, high) index
     n = len(vertices)
     keys = []
     candidates = 0
-    for i, j in _candidates(vertices, arr, spec):
+    for i, j in _candidates(arr, mx, spec):
         candidates += len(i)
-        keep = exact(i, j)
+        keep = _kernel(columns, i, j, p, q, g, h)
         i, j = i[keep], j[keep]
         keys.append(np.minimum(i, j) * n + np.maximum(i, j))
     key = np.concatenate(keys) if keys else np.empty(0, dtype=np.int64)
@@ -196,31 +176,28 @@ def scan_pairs(vertices: Sequence[Runs], spec: ChannelSpec) -> PairScan:
     return PairScan(first, second, candidates, "scalar" if scalar else "int64")
 
 
-def _windows(vertices, arr, spec):
+def _windows(arr, mx, spec):
     """Vertex indices sorted by window key, and for each sorted position the
     exclusive end of its window."""
-    n = len(vertices)
-    k = len(vertices[0])
+    n, k = arr.shape
     factor = spec.xi * spec.xi if k > 1 else spec.gamma * spec.xi
-    try:
-        scale = float(factor) * _MARGIN
-    except OverflowError:  # the factor does not fit a float
-        arr = None
-    if arr is None or (k == 1 and spec.unbounded_drift):
-        # no window: every pair is a candidate
+    if mx >= _FLOAT_EXACT or factor >= _FLOAT_EXACT**2:
+        # runs a float cannot hold, or a factor past every ratio of runs
+        # below _FLOAT_EXACT (unbounded drift at k = 1): every pair is a candidate
         return np.arange(n), np.full(n, n)
-    keys = arr[:, 0] if k == 1 else arr[:, 1] / arr[:, 0]
+    runs = arr.astype(float)
+    keys = runs[:, 0] if k == 1 else runs[:, 1] / runs[:, 0]
     order = np.argsort(keys, kind="stable")
     keys = keys[order]
-    return order, np.searchsorted(keys, keys * scale, side="right")
+    return order, np.searchsorted(keys, keys * (float(factor) * _MARGIN), side="right")
 
 
-def _candidates(vertices, arr, spec):
+def _candidates(arr, mx, spec):
     """Yield batches (i, j) of candidate vertex pairs: every pair of sorted
     positions a < b with b inside a's window, each pair once."""
-    if not vertices:
+    if not len(arr):
         return
-    order, ends = _windows(vertices, arr, spec)
+    order, ends = _windows(arr, mx, spec)
     n = len(order)
     counts = ends - np.arange(1, n + 1)
     stops = np.cumsum(counts)
@@ -235,8 +212,9 @@ def _candidates(vertices, arr, spec):
         a0 = a1
 
 
-def _int64_kernel(columns, i, j, p, q, g, h):
-    """Interval test on vertex pairs (i, j), vectorized in int64.
+def _kernel(columns, i, j, p, q, g, h):
+    """Interval test on vertex pairs (i, j), vectorized over the columns'
+    dtype: int64, or object (Python ints) past the int64 guard.
 
     Tracks m_hi = max_c x_c/y_c and m_lo = min_c x_c/y_c as numerator and
     denominator; the pair is indistinguishable iff m_hi <= xi^2 * m_lo,

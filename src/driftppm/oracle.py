@@ -238,9 +238,9 @@ class ZeroErrorReport:
     """Outcome of a pairwise zero-error check.
 
     ``pairs_checked`` counts every unordered codeword pair; ``candidates``
-    is how many of them reached the exact test, and ``kernel`` which form
-    of it ran: "int64" (vectorized) or "scalar" (`indistinguishable` on
-    each candidate, for parameters past the int64 guard).
+    is how many of them reached the exact test, and ``kernel`` the dtype
+    that vectorized test ran in: "int64", or "scalar" (Python ints, for
+    parameters past the int64 guard).
     """
 
     spec: ChannelSpec

@@ -10,6 +10,11 @@ Endpoint mode walks all corner realizations (each of T and the Z_i at its
 lower or upper bound) round-robin over the codewords; uniform mode samples
 interior realizations reproducibly from a seed, with each trial's generator
 derived independently so runs parallelize without changing results.
+
+Both modes decode their trials in batches through Decoder.decode_points, as
+int64 arrays where every product fits and as arrays of Python ints
+otherwise.  consistent_ints and fast_ints run again only on the first failed
+trials, to word the report's examples.
 """
 
 from __future__ import annotations
@@ -37,9 +42,10 @@ class TrialReport:
 
     ``failures`` counts a wrong general and a wrong structured decode of
     one trial separately; ``examples`` holds the first few.  ``kernel`` is
-    how the trials were decoded: "int64" (batched) or "scalar" (one trial
-    at a time).  In endpoint mode ``corner_failures[i]`` counts the
-    failures under corner i.
+    the dtype the batched trials were decoded in: "int64", or "scalar"
+    (Python ints, where an int64 product could overflow; uniform trials
+    always).  In endpoint mode ``corner_failures[i]`` counts the failures
+    under corner i.
     """
 
     trials: int = 0
@@ -54,16 +60,12 @@ class TrialReport:
     def ok(self) -> bool:
         return self.failures == 0
 
-    def record_failure(self, codeword, detail):
-        self.failures += 1
-        self.add_example(codeword, detail)
-
     def add_example(self, codeword, detail):
         if len(self.examples) < self._MAX_EXAMPLES:
             self.examples.append((codeword, detail))
 
 
-# Trials decoded per batch in endpoint mode, which bounds the batch's memory.
+# Trials decoded per batch, which bounds the batch's memory.
 _ROWS = 1 << 10
 
 
@@ -72,33 +74,51 @@ def _check_trials(trials):
         raise ValueError(f"trials must be non-negative, got {trials}")
 
 
-def _trial_runner(codebook, spec):
-    """(spec, decoder, check): check(word, (d, c)) decodes the observation
-    c*word/d and returns one failure detail per decoder that missed."""
+def _trial_decoder(codebook, spec):
+    """(spec, decoder) for round trips of codebook, by default under its own spec."""
     if not codebook.codewords:
         raise ValueError("codebook has no codewords to transmit")
-    spec = codebook.spec if spec is None else spec
-    structured = REGIMES[codebook.regime] is not None
-    decoder = get_decoder(codebook)
-    spec_ints = spec.ints
+    return (codebook.spec if spec is None else spec), get_decoder(codebook)
 
-    def check(codeword, realization):
-        d, coeffs = realization
-        a = [x * c for x, c in zip(codeword, coeffs)]
-        details = []
-        matches = decoder.consistent_ints(a, a, d, *spec_ints)
-        if matches != [codeword]:
-            details.append(f"general decode gave {matches}")
+
+def _run_batches(decoder, spec, trials, d, scale, batches, n_corners=0):
+    """Decode the trials that batches(dtype) yields, in trial order, as
+    (word indices, factor rows, corners or None): trial r sends
+    words[word[r]] and observes factors[r] * word / d, every factor at most
+    scale.  The failures are counted per corner when corners are given;
+    the first failed trials are decoded again one at a time by
+    consistent_ints and fast_ints, which word the report's examples."""
+    ints = spec.ints
+    dtype = decoder.point_dtype(scale, d, *ints)
+    report = TrialReport(trials, kernel="int64" if dtype is np.int64 else "scalar")
+    runs = np.array(decoder.words, dtype=dtype)
+    per_corner = np.zeros(n_corners, dtype=np.int64)
+    failed = []  # (word, factor row) of the first failed trials
+    for word, factors, corner in batches(dtype):
+        general, structured = decoder.decode_points(runs[word] * factors, d, *ints)
+        missed = (general != word).astype(np.int64)
+        if structured is not None:
+            missed += structured != word
+        report.failures += int(missed.sum())
+        if corner is not None:
+            np.add.at(per_corner, corner, missed)
+        for r in np.flatnonzero(missed)[: TrialReport._MAX_EXAMPLES - len(failed)]:
+            failed.append((decoder.words[word[r]], factors[r].tolist()))
+    report.corner_failures = per_corner.tolist()
+    structured = REGIMES[decoder.regime] is not None
+    for x, c in failed:
+        a = [xi * ci for xi, ci in zip(x, c)]
+        matches = decoder.consistent_ints(a, a, d, *ints)
+        if matches != [x]:
+            report.add_example(x, f"general decode gave {matches}")
         if structured:
             try:
-                fast = decoder.fast_ints(a, a, d, *spec_ints)
+                fast = decoder.fast_ints(a, a, d, *ints)
             except AmbiguityError:
                 fast = None
-            if fast != [codeword]:
-                details.append(f"structured decode gave {fast}")
-        return details
-
-    return spec, decoder, check
+            if fast != [x]:
+                report.add_example(x, f"structured decode gave {fast}")
+    return report
 
 
 def run_endpoint_roundtrips(
@@ -111,66 +131,26 @@ def run_endpoint_roundtrips(
 
     With trials=None every (codeword, corner) pair is exercised once;
     otherwise trial t uses codeword t mod |C| and advances the corner after
-    each full pass over the codebook.  Trials are decoded in int64 batches
-    (Decoder.decode_points) when every product fits, else one at a time.
+    each full pass over the codebook.
     """
     if trials is not None:
         _check_trials(trials)
-    spec, decoder, check = _trial_runner(codebook, spec)
+    spec, decoder = _trial_decoder(codebook, spec)
     corners = endpoint_ints(spec, codebook.k, DEFAULT_T_CAP if t_cap is None else t_cap)
-    words = codebook.codewords
-    n, n_corners = len(words), len(corners)
-    total = n * n_corners if trials is None else trials
-    report = TrialReport(trials=total, corner_failures=[0] * n_corners)
-
-    def run(t):
-        # trial t sends word t mod n through corner (t div n) mod n_corners
-        word, corner = words[t % n], t // n % n_corners
-        return word, corner, check(word, corners[corner])
-
-    scale = max(max(c) for _, c in corners)
-    if decoder.points_fit_int64(scale, corners[0][0], *spec.ints):
-        report.kernel = "int64"
-        report.corner_failures, failed = _endpoint_batches(decoder, corners, total, spec)
-        report.failures = sum(report.corner_failures)
-        # the first failed trials are decoded again one at a time for the
-        # examples' wording
-        for t in failed:
-            word, _, details = run(t)
-            for detail in details:
-                report.add_example(word, detail)
-    else:
-        for t in range(total):
-            word, corner, details = run(t)
-            report.failures += len(details)
-            report.corner_failures[corner] += len(details)
-            for detail in details:
-                report.add_example(word, detail)
-    return report
-
-
-def _endpoint_batches(decoder, corners, total, spec):
-    """Decode endpoint trials 0..total-1 in batches.  Returns the failures
-    per corner and the first failed trials, enough for a report's examples."""
+    factors = [c for _, c in corners]
     n, n_corners = len(decoder.words), len(corners)
-    word_runs = np.array(decoder.words, dtype=np.int64)
-    factors = np.array([c for _, c in corners], dtype=np.int64)
-    d = corners[0][0]
-    corner_failures = np.zeros(n_corners)
-    failed = []
-    for first in range(0, total, _ROWS):
-        t = np.arange(first, min(first + _ROWS, total))
-        word, corner = t % n, t // n % n_corners
-        general, structured = decoder.decode_points(
-            word_runs[word] * factors[corner], d, *spec.ints
-        )
-        missed = (general != word).astype(np.int64)
-        if structured is not None:
-            missed += structured != word
-        corner_failures += np.bincount(corner, weights=missed, minlength=n_corners)
-        if len(failed) < TrialReport._MAX_EXAMPLES:
-            failed += t[missed > 0][: TrialReport._MAX_EXAMPLES].tolist()
-    return [int(f) for f in corner_failures], failed
+    total = n * n_corners if trials is None else trials
+
+    def batches(dtype):
+        table = np.array(factors, dtype=dtype)
+        for first in range(0, total, _ROWS):
+            # trial t sends word t mod n through corner (t div n) mod n_corners
+            t = np.arange(first, min(first + _ROWS, total))
+            corner = t // n % n_corners
+            yield t % n, table[corner], corner
+
+    scale = max(map(max, factors))
+    return _run_batches(decoder, spec, total, corners[0][0], scale, batches, n_corners)
 
 
 def run_uniform_roundtrips(
@@ -185,14 +165,17 @@ def run_uniform_roundtrips(
     With unbounded drift, T is drawn from [1, t_cap] and t_cap is required.
     """
     _check_trials(trials)
-    spec, _, check = _trial_runner(codebook, spec)
-    draw = uniform_sampler(spec, codebook.k, t_cap)
-    words = codebook.codewords
-    n = len(words)
-    report = TrialReport(trials=trials)
-    for t in range(trials):
-        rng = random.Random(derive_trial_seed(seed, t))
-        word = words[rng.randrange(n)]
-        for detail in check(word, draw(rng)):
-            report.record_failure(word, detail)
-    return report
+    spec, decoder = _trial_decoder(codebook, spec)
+    d, scale, draw = uniform_sampler(spec, codebook.k, t_cap)
+    n = len(decoder.words)
+
+    def batches(dtype):
+        for first in range(0, trials, _ROWS):
+            word, factors = [], []
+            for t in range(first, min(first + _ROWS, trials)):
+                rng = random.Random(derive_trial_seed(seed, t))
+                word.append(rng.randrange(n))
+                factors.append(draw(rng))
+            yield np.array(word), np.array(factors, dtype=dtype), None
+
+    return _run_batches(decoder, spec, trials, d, scale, batches)

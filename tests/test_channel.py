@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction as F
 
@@ -60,6 +61,14 @@ class TestObservedSignal:
             ObservedSignal.from_exact([1, 0])
         with pytest.raises(ValueError):
             ObservedSignal.from_floats([1.0, -2.0])
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_rejects_non_finite(self, bad):
+        # decode would otherwise fail on it with an error that is no DecodeError
+        with pytest.raises(ValueError, match="finite"):
+            ObservedSignal.from_floats([bad, 1.0])
+        with pytest.raises(ValueError, match="finite"):
+            ObservedSignal((1.0, bad), False)
 
     def test_float_conversion(self):
         sig = ObservedSignal.from_exact([F(3, 2), 2]).as_floats()
@@ -140,7 +149,9 @@ class TestIntegerRealizations:
         spec = ChannelSpec(xi, gamma)
         t_cap = F(13, 2)
         ints_rng = random.Random(seed)
-        d, c = uniform_sampler(spec, k, t_cap)(ints_rng)
+        d, top, draw = uniform_sampler(spec, k, t_cap)
+        c = draw(ints_rng)
+        assert max(c) <= top
         fraction_rng = random.Random(seed)
         t, *z = _fraction_draws(fraction_rng, F(13, 2) if gamma == INFINITY else gamma, xi, k)
         assert [F(ci, d) for ci in c] == [t * zi for zi in z]

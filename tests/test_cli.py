@@ -6,7 +6,7 @@ import pytest
 from driftppm.cli import main
 from driftppm.codebook_io import dump_codebook, load_codebook
 from driftppm.constructions import code_bounded_drift
-from driftppm.core import INFINITY, ChannelSpec, Codebook
+from driftppm.core import INFINITY, ChannelSpec, Codebook, enumerate_inputs
 
 
 def run(capsys, *argv):
@@ -262,6 +262,27 @@ class TestSimulate:
         assert (code, out) == (1, "")
         assert err == "error: codebook has no codewords to transmit\n"
 
+
+    @pytest.mark.parametrize("mode", ["endpoints", "uniform"])
+    def test_xi_beyond_float_range(self, capsys, tmp_path, mode):
+        # xi = 10^400 fits no float, so no decode window is located in floats
+        path = tmp_path / "one.code"
+        code, out, _ = run(capsys, "construct", "--k", "2", "--M", "6", "--xi", "1e400",
+                           "--gamma", "7/4", "--out", str(path))
+        assert (code, out) == (0, "size=1 rate=0.0000\n")
+        code, out, _ = run(capsys, "simulate", "--code", str(path), "--mode", mode,
+                           "--trials", "40", "--seed", "3")
+        assert (code, out) == (0, "trials=40 failures=0\n")
+        # every pair of these words is confusable under that jitter
+        path = tmp_path / "many.code"
+        dump_codebook(
+            Codebook.build(2, 6, ChannelSpec(F(10**400), F(7, 4)), "gcd", enumerate_inputs(2, 4)),
+            path,
+        )
+        code, out, _ = run(capsys, "simulate", "--code", str(path), "--mode", mode,
+                           "--trials", "40", "--seed", "3")
+        failures = {"endpoints": 70, "uniform": 77}[mode]
+        assert (code, out) == (2, f"trials=40 failures={failures}\n")
 
     @pytest.mark.parametrize("mode", ["endpoints", "uniform"])
     def test_negative_trials_exits_1(self, capsys, tmp_path, mode):

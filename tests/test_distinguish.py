@@ -187,8 +187,8 @@ class TestConfusionGraph:
         assert calls == []
         scalar_scan = scan_pairs(words, above)
         assert scalar_scan.kernel == "scalar"
-        # the scalar kernel decides exactly the candidate pairs
-        assert len(calls) == scalar_scan.candidates > 0
+        # both paths run the one vectorized kernel, never the scalar predicate
+        assert calls == [] and scalar_scan.candidates > 0
         expected = brute_force_pairs(words, above)
         assert scalar_scan.pairs() == expected
         assert scalar_scan.pairs() == int64_scan.pairs()
