@@ -17,6 +17,7 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Sequence, Union
 
 __all__ = [
@@ -36,6 +37,7 @@ __all__ = [
     "check_run_vector",
     "format_run_vector",
     "enumerate_inputs",
+    "MAX_INPUTS",
     "gcd_of",
     "ratio_vector",
     "rate_bits",
@@ -57,6 +59,10 @@ REGIMES = {
     "perfect-sync": "alphabet",
     "custom": None,
 }
+
+#: Most input vectors enumerate_inputs builds.  The M=1024 builds need
+#: C(1024, 2) = 523 776; C(100000, 2) would take minutes and gigabytes.
+MAX_INPUTS = 2_000_000
 
 Runs = tuple[int, ...]
 DriftRatio = Union[Fraction, float]
@@ -149,21 +155,25 @@ class ChannelSpec:
 
     @property
     def unbounded_drift(self) -> bool:
-        return self.gamma == INFINITY
+        return self.ints[3] == 0
 
-    @property
+    @cached_property
     def ints(self) -> tuple[int, int, int, int]:
         """(p, q, g, h) with xi = p/q and gamma = g/h, h = 0 when unbounded.
 
         Integer drift tests read r/s <= gamma as r*h <= s*g and r/s >= 1/gamma
         as r*g >= s*h; with h = 0 both hold for every positive r/s.
         """
-        g, h = (1, 0) if self.unbounded_drift else self.gamma.as_integer_ratio()
+        g, h = (1, 0) if self.gamma == INFINITY else self.gamma.as_integer_ratio()
         return (*self.xi.as_integer_ratio(), g, h)
 
     def is_stricter_or_equal(self, other: "ChannelSpec") -> bool:
         """True if every realization admissible here is admissible under other."""
-        return self.xi <= other.xi and self.gamma <= other.gamma
+        p, q, g, h = self.ints
+        p2, q2, g2, h2 = other.ints
+        # xi <= xi' and gamma <= gamma'; h = 0 makes an infinite gamma the
+        # largest with no branch
+        return p * q2 <= p2 * q and g * h2 <= g2 * h
 
     def __str__(self) -> str:
         return f"xi={format_ratio(self.xi)} gamma={format_ratio(self.gamma)}"
@@ -238,7 +248,18 @@ def enumerate_inputs(k: int, m: int) -> list[Runs]:
 
     There are exactly C(m, k) of them: a run vector is equivalent to a choice
     of k pulse positions among m bins, and position order maps to run order.
+    Raises ValueError past MAX_INPUTS, counted before anything is built.
     """
+    # C(m, i) for i up to min(k, m - k), stopping past the limit: the full
+    # C(m, k) of a huge frame would take longer to compute than to refuse
+    last, count = min(k, m - k), 1
+    for i in range(1, last + 1):
+        count = count * (m - i + 1) // i
+        if count > MAX_INPUTS:
+            raise ValueError(
+                f"k={k}, M={m} has C(M, k) {'=' if i == last else '>='} {count} "
+                f"inputs, more than the {MAX_INPUTS} that can be enumerated"
+            )
     return _run_vectors(k, m, range(1, m + 1))
 
 

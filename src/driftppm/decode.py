@@ -12,6 +12,11 @@ drift-chain codes, and independent per-run windows for the no-drift codes.
 Both decoders are exact; float observations widen every comparison by a
 relative tolerance.
 
+Every observation enters the decoders as integer bounds [a_i, b_i] / d.  A
+float is taken at its exact binary value (float.as_integer_ratio), the
+values go over one common denominator, the tolerance u/w is applied to the
+integer numerators, and one gcd brings all bounds to lowest common terms.
+
 Both decoders draw their candidates from one index: the codewords grouped by
 primitive vector (x / gcd(x)).  An exact observation without jitter (xi = 1)
 is a multiple of the sent codeword, so it picks its group by lookup; any
@@ -142,22 +147,35 @@ def _candidate_pairs(order, starts, ends):
 
 
 def _normalize_signal(signal: ObservedSignal, tol):
-    """Observation as integer bounds: value_i in [A_i, B_i] / D.
+    """Observation as integer bounds: value_i in [a_i, b_i] / d, with d the
+    lcm of the bounds' reduced denominators.
 
     Exact signals give point intervals; float signals are converted to their
-    exact binary values and widened by the relative tolerance.
+    exact binary values and widened by the relative tolerance, in integers.
     """
+    try:
+        u, w = (DEFAULT_FLOAT_TOLERANCE if tol is None else Fraction(tol)).as_integer_ratio()
+    except OverflowError:  # an infinite float: out of range like any tol >= 1
+        u = w = 1
+    if not 0 <= u < w:
+        raise ValueError(f"tolerance must lie in [0, 1), got {tol}")
     if signal.exact:
-        lo = hi = signal.values
-    else:
-        eps = DEFAULT_FLOAT_TOLERANCE if tol is None else Fraction(tol)
-        exact_values = [Fraction(v) for v in signal.values]
-        lo = [v * (1 - eps) for v in exact_values]
-        hi = [v * (1 + eps) for v in exact_values]
-    d = math.lcm(*(v.denominator for v in lo), *(v.denominator for v in hi))
-    a = [int(v * d) for v in lo]
-    b = [int(v * d) for v in hi]
-    return a, b, d
+        d = math.lcm(*(v.denominator for v in signal.values))
+        a = [v.numerator * (d // v.denominator) for v in signal.values]
+        return a, a, d
+    # Each value is num/den exactly; over the lcm L of the den it is s_i/L,
+    # and its bounds are s_i*(w -+ u) / (L*w).  Dividing a, b and L*w by
+    # their gcd leaves d equal to the lcm of the bounds' reduced denominators:
+    # each reduced denominator divides d, and for each prime power in d some
+    # bound's numerator is now coprime to that prime, so that bound's reduced
+    # denominator holds the whole prime power.
+    ratios = [v.as_integer_ratio() for v in signal.values]
+    lcm = math.lcm(*(den for _, den in ratios))
+    s = [num * (lcm // den) for num, den in ratios]
+    a = [v * (w - u) for v in s]
+    b = [v * (w + u) for v in s]
+    g = math.gcd(lcm * w, *a, *b)
+    return [v // g for v in a], [v // g for v in b], lcm * w // g
 
 
 class Decoder:

@@ -3,6 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from driftppm import core
 from driftppm.cli import main
 from driftppm.codebook_io import dump_codebook, load_codebook
 from driftppm.constructions import code_bounded_drift
@@ -422,6 +423,27 @@ class TestPipeline:
         code, out, _ = run(capsys, "simulate", "--code", str(path))
         assert code == 0
         assert out.endswith("failures=0\n")
+
+
+class TestInputSizeGuard:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("construct", "--k", "2", "--M", "100000"),
+            ("sweep", "--param", "M", "--values", "99999999999", "--k", "2"),
+            ("oracle", "--k", "50", "--M", "60"),
+        ],
+        ids=["construct", "sweep", "oracle"],
+    )
+    def test_refused_before_enumerating(self, capsys, monkeypatch, argv):
+        def refuse(*args):
+            raise AssertionError("the enumeration started")
+
+        monkeypatch.setattr(core, "_run_vectors", refuse)
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: k=") and "more than the" in err
+        assert err.count("\n") == 1
 
 
 class TestUsage:

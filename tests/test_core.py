@@ -1,12 +1,17 @@
+import copy
 import math
+import pickle
+import re
 from fractions import Fraction as F
 from itertools import combinations
 
 import pytest
 from hypothesis import given, strategies as st
 
+from driftppm import core
 from driftppm.core import (
     INFINITY,
+    MAX_INPUTS,
     ChannelSpec,
     Codebook,
     EmptyDomainError,
@@ -77,6 +82,41 @@ class TestEnumerateInputs:
     def test_bad_k(self):
         with pytest.raises(ValueError):
             enumerate_inputs(0, 5)
+
+
+class TestInputSizeGuard:
+    @pytest.fixture(autouse=True)
+    def no_enumeration(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the enumeration started")
+
+        monkeypatch.setattr(core, "_run_vectors", refuse)
+
+    def test_limit_admits_the_largest_builds(self):
+        assert math.comb(1024, 2) == 523_776 <= MAX_INPUTS
+
+    @pytest.mark.parametrize(
+        "k, m, count",
+        [
+            (2, 100_000, "= 4999950000"),
+            # C(M, 1) and C(60, 5) = 5 461 512: lower bounds, computed no further
+            (2, 99_999_999_999, ">= 99999999999"),
+            (50, 60, ">= 5461512"),
+            (500_000, 1_000_000, ">= 499999500000"),
+        ],
+    )
+    def test_refused_before_enumerating(self, k, m, count):
+        text = f"k={k}, M={m} has C(M, k) {count} inputs, more than the {MAX_INPUTS}"
+        with pytest.raises(ValueError, match=f"^{re.escape(text)}"):
+            enumerate_inputs(k, m)
+
+    def test_limit_is_inclusive(self, monkeypatch):
+        monkeypatch.setattr(core, "MAX_INPUTS", math.comb(10, 3))
+        with pytest.raises(AssertionError, match="enumeration started"):
+            enumerate_inputs(3, 10)
+        monkeypatch.setattr(core, "MAX_INPUTS", math.comb(10, 3) - 1)
+        with pytest.raises(ValueError, match=r"C\(M, k\) = 120 inputs"):
+            enumerate_inputs(3, 10)
 
 
 class TestGcd:
@@ -183,6 +223,10 @@ class TestRatios:
             assert x <= z
 
 
+_xi = st.fractions(min_value=1, max_value=8, max_denominator=40)
+_gamma = st.one_of(st.just(INFINITY), _xi)
+
+
 class TestChannelSpec:
     def test_validation(self):
         ChannelSpec(1, 1)
@@ -213,6 +257,29 @@ class TestChannelSpec:
         assert F(p, q) == xi
         assert (r <= gamma) == (r.numerator * h <= r.denominator * g)
         assert (r * gamma >= 1) == (r.numerator * g >= r.denominator * h)
+
+    @given(st.tuples(_xi, _gamma), st.tuples(_xi, _gamma))
+    def test_stricter_matches_ratio_order(self, mine, other):
+        # the cross-multiplied test against Fraction and inf comparisons
+        spec, bound = ChannelSpec(*mine), ChannelSpec(*other)
+        expected = spec.xi <= bound.xi and spec.gamma <= bound.gamma
+        assert spec.is_stricter_or_equal(bound) == expected
+        assert spec.unbounded_drift == (spec.gamma == INFINITY)
+
+    @given(_xi, _gamma)
+    def test_cached_ints_leave_identity_alone(self, xi, gamma):
+        fresh, spec = ChannelSpec(xi, gamma), ChannelSpec(xi, gamma)
+        before = (hash(spec), str(spec), repr(spec))
+        ints = spec.ints
+        assert spec.ints is ints
+        assert spec == fresh and fresh == spec
+        assert (hash(spec), str(spec), repr(spec)) == before == (
+            hash(fresh), str(fresh), repr(fresh)
+        )
+        for clone in (copy.copy(spec), pickle.loads(pickle.dumps(spec))):
+            assert clone == spec and hash(clone) == hash(spec)
+            assert str(clone) == str(spec) and clone.ints == ints
+        assert pickle.loads(pickle.dumps(fresh)).ints == ints
 
 
 class TestCodebook:

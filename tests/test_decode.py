@@ -1,9 +1,10 @@
 import copy
 import gc
+import math
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from driftppm.core import INFINITY, ChannelSpec, Codebook
 from driftppm.channel import ChannelRealization, ObservedSignal, endpoint_realizations, transmit
@@ -175,6 +176,29 @@ class TestFloatMode:
             decode(y, GCD65, tol=F(1, 10**9))
         assert decode(y, GCD65, tol=F(1, 10**6)) == (1, 2)
 
+    @pytest.mark.parametrize(
+        "tol", [1, 2, "1", 1.0, math.inf, F(-1, 10**9), -1e-9, "-0.5", -math.inf]
+    )
+    def test_meaningless_tolerance_refused(self, tol):
+        # tol >= 1 drops the lower bounds to zero or below, and tol < 0
+        # inverts every interval
+        y = ObservedSignal.from_floats([3.0, 5.0])
+        for decode_fn in (decode, decode_fast, consistent_codewords):
+            with pytest.raises(ValueError, match="^tolerance must lie in"):
+                decode_fn(y, BD65, tol=tol)
+        with pytest.raises(ValueError, match="^tolerance must lie in"):
+            _normalize_signal(exact(3, 5), tol)
+
+    def test_nan_tolerance_refused(self):
+        with pytest.raises(ValueError):
+            decode(ObservedSignal.from_floats([3.0, 5.0]), BD65, tol=math.nan)
+
+    @pytest.mark.parametrize("tol", [0, 0.0, "0", F(999_999, 10**6), 1 - 2**-53])
+    def test_tolerance_range_ends_accepted(self, tol):
+        y = ObservedSignal.from_floats([3.0, 5.0])
+        assert (3, 5) in consistent_codewords(y, BD65, tol=tol)
+        assert _normalize_signal(y, tol)[2] > 0
+
 
 class TestDecoderCache:
     def test_collected_codebook_leaves_the_cache(self):
@@ -186,6 +210,66 @@ class TestDecoderCache:
         gc.collect()
         assert key not in _DECODER_CACHE
         assert decoder.codebook is None
+
+
+def _fraction_bounds(signal, tol):
+    """The normalization in Fraction arithmetic: bounds value*(1 -+ tol) over
+    the lcm of their reduced denominators.  Oracle for _normalize_signal."""
+    if signal.exact:
+        lo = hi = signal.values
+    else:
+        eps = DEFAULT_FLOAT_TOLERANCE if tol is None else F(tol)
+        values = [F(v) for v in signal.values]
+        lo = [v * (1 - eps) for v in values]
+        hi = [v * (1 + eps) for v in values]
+    d = math.lcm(*(v.denominator for v in [*lo, *hi]))
+    return [int(v * d) for v in lo], [int(v * d) for v in hi], d
+
+
+_TOLERANCES = st.one_of(
+    st.none(),
+    st.just(0),
+    st.fractions(0, 1, max_denominator=10**12).filter(lambda t: t < 1),
+    st.sampled_from(["1/1000", "0.000001", "1e-9", "0"]),
+    st.floats(0, 1, exclude_max=True),
+)
+
+
+class TestNormalizeSignal:
+    @given(
+        st.lists(
+            st.one_of(
+                st.floats(5e-324, 1e300),
+                st.integers(1, 2**60).map(float),
+            ),
+            min_size=1,
+            max_size=5,
+        ),
+        _TOLERANCES,
+    )
+    # the smallest subnormal beside a huge value: a denominator of 2^1074
+    @example([5e-324, 1e300, 1.0], None)
+    @example([2.0**60, 0.1], 0)
+    @settings(max_examples=500, deadline=None)
+    def test_float_signal_matches_fraction_formula(self, values, tol):
+        signal = ObservedSignal.from_floats(values)
+        assert _normalize_signal(signal, tol) == _fraction_bounds(signal, tol)
+
+    @given(
+        st.lists(
+            st.one_of(
+                st.integers(1, 2**60),
+                st.fractions(0, 2**60, max_denominator=10**6).filter(lambda v: v > 0),
+            ),
+            min_size=1,
+            max_size=5,
+        ),
+        _TOLERANCES,
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_exact_signal_matches_fraction_formula(self, values, tol):
+        signal = ObservedSignal.from_exact(values)
+        assert _normalize_signal(signal, tol) == _fraction_bounds(signal, tol)
 
 
 def _exact_ints(values):
