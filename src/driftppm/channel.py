@@ -165,15 +165,16 @@ def _corners(k: int) -> Iterator[tuple[int, tuple[int, ...]]]:
         yield index & 1, tuple(index >> i & 1 for i in range(1, k + 1))
 
 
-def endpoint_ints(spec: ChannelSpec, k: int, t_cap=None) -> list[tuple[int, list[int]]]:
-    """The corner realizations in index order, each as (d, c) for Y_i = c_i * x_i / d."""
+def endpoint_ints(spec: ChannelSpec, k: int, t_cap=None) -> tuple[int, list[list[int]]]:
+    """(d, factors): the corner realizations in index order, corner j as
+    Y_i = factors[j][i] * x_i / d."""
     hi_t = _upper_drift(spec, t_cap)
     xi = spec.xi
     # with d = den(T_hi) * den(xi), the factor t*z*d of each low/high choice
     t_factor = (hi_t.denominator, hi_t.numerator)
     z_factor = (xi.denominator, xi.numerator)
     d = hi_t.denominator * xi.denominator
-    return [(d, [t_factor[t] * z_factor[z] for z in zs]) for t, zs in _corners(k)]
+    return d, [[t_factor[t] * z_factor[z] for z in zs] for t, zs in _corners(k)]
 
 
 def endpoint_realizations(

@@ -30,6 +30,7 @@ from .core import (
     INFINITY,
     ChannelSpec,
     Codebook,
+    MAX_INPUTS,
     EmptyDomainError,
     RatioLike,
     Runs,
@@ -108,8 +109,9 @@ def _by_gcd(k: int, m: int, step) -> tuple[Runs, ...]:
     """Inputs, in order, whose gcd is on the chain of step."""
     if k == 1 and step == INFINITY:
         raise UnsupportedRegimeError(_K1_DRIFT_REASON)
+    inputs = enumerate_inputs(k, m)  # refuses an oversized frame first
     chain = set(geometric_multipliers(step, m))
-    return tuple(x for x in enumerate_inputs(k, m) if math.gcd(*x) in chain)
+    return tuple(x for x in inputs if math.gcd(*x) in chain)
 
 
 def code_gcd(k: int, m: int) -> Codebook:
@@ -154,11 +156,32 @@ def _coprime_pairs(m: int):
     """
     if m < 2:
         raise EmptyDomainError(f"no two-pulse inputs in {m} bins")
+    # x1 + x2 = s is coprime iff x1 is prime to s: phi(s) pairs of each sum
+    count = 0
+    for s in range(2, m + 1):
+        count += _totient(s)
+        if count > MAX_INPUTS:
+            raise ValueError(
+                f"k=2, M={m} has {'=' if s == m else '>='} {count} coprime inputs, "
+                f"more than the {MAX_INPUTS} that can be enumerated"
+            )
     a, b, c, d = 0, 1, 1, m
     while c < d:
         yield d - c, c
         q = (m + b) // d
         a, b, c, d = c, d, q * c - a, q * d - b
+
+
+def _totient(n: int) -> int:
+    """Euler's phi: the integers in [1, n] prime to n."""
+    out, p = n, 2
+    while p * p <= n:
+        if n % p == 0:
+            out -= out // p
+            while n % p == 0:
+                n //= p
+        p += 1
+    return out - out // n if n > 1 else out
 
 
 def ratio_set(m: int) -> list[Fraction]:

@@ -265,25 +265,36 @@ def enumerate_inputs(k: int, m: int) -> list[Runs]:
 
 def _run_vectors(k: int, m: int, alphabet: Sequence[int]) -> list[Runs]:
     """Vectors of k runs from a sorted alphabet holding 1, summing to <= m,
-    in lexicographic order."""
+    in lexicographic order.  Raises ValueError past MAX_INPUTS, counting
+    each level before it is built."""
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     if m < k:
         raise EmptyDomainError(f"no inputs with {k} pulses in {m} bins")
     # extend every prefix, in order, by each run that leaves a bin for each
-    # run still to come; each prefix carries the bins it has left
+    # run still to come; each prefix carries the bins it has left, and has a
+    # completion (all later runs 1), so no level outnumbers the vectors
     prefixes = [((), m)]
-    for later in range(k - 1, 0, -1):
+    for later in range(k - 1, -1, -1):
+        ends = [bisect_right(alphabet, left - later) for _, left in prefixes]
+        count = sum(ends)
+        if count > MAX_INPUTS:
+            raise ValueError(
+                f"k={k}, M={m} has {'>=' if later else '='} {count} inputs over "
+                f"{len(alphabet)} run values, more than the {MAX_INPUTS} that "
+                "can be enumerated"
+            )
+        if not later:
+            return [
+                prefix + (r,)
+                for (prefix, _), end in zip(prefixes, ends)
+                for r in alphabet[:end]
+            ]
         prefixes = [
             (prefix + (r,), left - r)
-            for prefix, left in prefixes
-            for r in alphabet[: bisect_right(alphabet, left - later)]
+            for (prefix, left), end in zip(prefixes, ends)
+            for r in alphabet[:end]
         ]
-    return [
-        prefix + (r,)
-        for prefix, left in prefixes
-        for r in alphabet[: bisect_right(alphabet, left)]
-    ]
 
 
 def gcd_of(runs: Sequence[int]) -> int:

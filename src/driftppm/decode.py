@@ -17,17 +17,20 @@ float is taken at its exact binary value (float.as_integer_ratio), the
 values go over one common denominator, the tolerance u/w is applied to the
 integer numerators, and one gcd brings all bounds to lowest common terms.
 
-Both decoders draw their candidates from one index: the codewords grouped by
-primitive vector (x / gcd(x)).  An exact observation without jitter (xi = 1)
-is a multiple of the sent codeword, so it picks its group by lookup; any
-other observation picks the groups whose first ratio x_2/x_1 lies within a
-jitter factor of the observed one (every group, for one run).  The decoders
-share only which words they look at: each decides membership on its own.
+Every decoder draws its candidates from one index: the codewords sorted by
+their first ratio x_2/x_1 as a float.  A consistent codeword's exact first
+ratio lies in [a_2*q/(b_1*p), b_2*p/(a_1*q)] for an observation [a, b] and
+jitter xi = p/q, so the candidates are the words whose float key lies in
+that window, widened by the margin stated in distinguish._MARGIN; without
+jitter an exact observation's window is one key wide.  With one run, or
+where runs or xi reach 2^53, every word is a candidate.  The decoders share
+only which words they look at: each decides membership exactly, on its own.
 
 A round-trip driver decodes many exact point observations of one codebook
-at once through Decoder.decode_points: the same candidates and the same
-exact predicates, evaluated as int64 arrays where every product fits and as
-arrays of Python ints (dtype object) otherwise.
+at once through Decoder.decode_points: the same exact predicates, evaluated
+as int64 arrays where every product fits and as arrays of Python ints
+(dtype object) otherwise.  Without jitter it finds each observation's words
+by an integer key of its primitive vector x / gcd(x) instead.
 
 Out-of-spec signals raise NoCodewordError -- a receiver-side convention, not
 a channel-model claim; ambiguity always raises, never tie-breaks.
@@ -46,6 +49,7 @@ import numpy as np
 
 from .core import REGIMES, ChannelSpec, Codebook, Runs
 from .channel import ObservedSignal
+from .distinguish import _FLOAT_EXACT, _INT64_GUARD, _MARGIN, _window_pairs
 
 __all__ = [
     "DEFAULT_FLOAT_TOLERANCE",
@@ -61,20 +65,6 @@ __all__ = [
 
 #: Relative widening applied to float-mode observations.
 DEFAULT_FLOAT_TOLERANCE = Fraction(1, 10**9)
-
-# int64 products in the batched point decoder stay below this; past it the
-# decoder runs on Python ints.
-_INT64_GUARD = 1 << 62
-# Integers below this convert to floats exactly.
-_FLOAT_EXACT = 1 << 53
-# Relative margin on a float window end.  Between them, a word's float key
-# w_2/w_1 and a computed window end hold at most eight correctly rounded
-# operations, each within 2^-53 of its exact value, so widening the end by
-# this factor keeps every word whose exact ratio lies inside the exact window.
-_MARGIN = 1 + 2.0**-32
-# (observation, codeword) candidate pairs tested per batch, which bounds the
-# batched decoder's memory.
-_BATCH = 1 << 12
 
 
 class DecodeError(Exception):
@@ -93,26 +83,6 @@ class AmbiguityError(DecodeError):
         self.candidates = tuple(candidates)
 
 
-def _bisect_ratio(nums, dens, tn, td, right=False):
-    """bisect_left (bisect_right if right) of tn/td in the ascending ratios
-    nums[i]/dens[i], compared by cross-multiplication."""
-    lo, hi = 0, len(nums)
-    while lo < hi:
-        mid = (lo + hi) // 2
-        diff = nums[mid] * td - tn * dens[mid]
-        if diff < 0 or (right and diff == 0):
-            lo = mid + 1
-        else:
-            hi = mid
-    return lo
-
-
-def _primitive(runs) -> Runs:
-    """The run vector divided by its gcd."""
-    div = math.gcd(*runs)
-    return tuple([r // div for r in runs])
-
-
 def _primitive_columns(cols):
     """Each column of a positive integer array divided by its gcd."""
     return cols // np.gcd.reduce(cols, axis=0)
@@ -126,24 +96,6 @@ def _radix(digits, base):
     for row in digits:
         key = key * base + row
     return key
-
-
-def _candidate_pairs(order, starts, ends):
-    """Yield batches (row, word): word order[s] for each s in [starts[r],
-    ends[r]), row by row, about _BATCH pairs a batch (a larger row alone)."""
-    sizes = ends - starts
-    stops = np.cumsum(sizes)
-    r0 = 0
-    while r0 < len(sizes):
-        base = int(stops[r0 - 1]) if r0 else 0
-        r1 = max(r0 + 1, int(np.searchsorted(stops, base + _BATCH, side="right")))
-        size = sizes[r0:r1]
-        row = np.repeat(np.arange(r0, r1), size)
-        # pair number (from base) of row r's candidate at position s is
-        # s + stops[r] - size[r] - starts[r] - base
-        shift = np.repeat(stops[r0:r1] - size - starts[r0:r1] - base, size)
-        yield row, order[np.arange(len(row)) - shift]
-        r0 = r1
 
 
 def _normalize_signal(signal: ObservedSignal, tol):
@@ -189,54 +141,33 @@ class Decoder:
         self.k = codebook.k
         self.regime = codebook.regime
         self.words = codebook.codewords
-        self._by_primitive = None
-        self._ratio = None
-        self._alphabet = None
 
     @property
     def codebook(self) -> Optional[Codebook]:
         """The decoded codebook, or None once it has been collected."""
         return self._codebook()
 
-    def _primitive_index(self):
-        # primitive (gcd-1) vector -> the codewords that are multiples of it;
-        # codewords are in lex order, so each list ascends by multiplier
-        if self._by_primitive is None:
-            groups = {}
-            for w in self.words:
-                groups.setdefault(_primitive(w), []).append(w)
-            self._by_primitive = groups
-        return self._by_primitive
+    def _every_word(self, p, q) -> bool:
+        # one run, runs past exact floats, or xi of 2^53 or more: the float
+        # keys cannot narrow the search
+        return self.k == 1 or self._top >= _FLOAT_EXACT or p >= q * _FLOAT_EXACT
 
-    def _ratio_index(self):
-        # primitive groups sorted by their ratio base_2/base_1, kept as int
-        # pairs for the bisection
-        if self._ratio is None:
-            entries = sorted(
-                self._primitive_index().items(),
-                key=lambda entry: Fraction(entry[0][1], entry[0][0]),
-            )
-            nums = [base[1] for base, _ in entries]
-            dens = [base[0] for base, _ in entries]
-            self._ratio = (entries, nums, dens)
-        return self._ratio
-
-    def _groups(self, a, b, p, q):
-        """(primitive vector, codewords) groups that can hold a codeword
-        consistent with the observation [a, b]; both decoders scan these."""
-        if p == q and a == b:
-            # jitterless exact observation Y = T*x: a consistent codeword
-            # has the observation's primitive vector
-            base = _primitive(a)
-            return [(base, self._primitive_index().get(base, ()))]
-        if self.k == 1:
-            return self._primitive_index().items()  # one group, (1,); no ratio
-        # ratio window: x2/x1 must lie within a jitter factor of the observed
-        # ratio interval [a2/b1, b2/a1]
-        entries, nums, dens = self._ratio_index()
-        i0 = _bisect_ratio(nums, dens, a[1] * q, b[0] * p)
-        i1 = _bisect_ratio(nums, dens, b[1] * p, a[0] * q, right=True)
-        return entries[i0:i1]
+    def _candidates(self, a, b, p, q):
+        """The codewords whose float first ratio lies in the window of the
+        observation [a, b]: a superset of the consistent codewords."""
+        if self._every_word(p, q):
+            return self.words
+        keys, words = self._ratio_lists
+        # each end one correctly rounded int division, then widened
+        try:
+            lo = a[1] * q / (b[0] * p) / _MARGIN
+        except OverflowError:  # above every key
+            return ()
+        try:
+            hi = b[1] * p / (a[0] * q) * _MARGIN
+        except OverflowError:
+            hi = math.inf
+        return words[bisect_left(keys, lo):bisect_right(keys, hi)]
 
     # -- general consistency decoding ------------------------------------
 
@@ -247,13 +178,12 @@ class Decoder:
         hq = h * q
         b0 = b[0]
         a0hq = a[0] * hq
-        for _, words in self._groups(a, b, p, q):
-            for x in words:
-                x1 = x[0]  # inline first-run window; kills most candidates cheaply
-                if b0 < d * x1 or a0hq > gpd * x1:
-                    continue
-                if self._feasible(x, a, b, d, p, q, gpd, hq):
-                    out.append(x)
+        for x in self._candidates(a, b, p, q):
+            x1 = x[0]  # inline first-run window; kills most candidates cheaply
+            if b0 < d * x1 or a0hq > gpd * x1:
+                continue
+            if self._feasible(x, a, b, d, p, q, gpd, hq):
+                out.append(x)
         out.sort()
         return out
 
@@ -275,11 +205,10 @@ class Decoder:
 
     # -- structured fast decoding -----------------------------------------
 
-    def _alphabet_index(self):
-        if self._alphabet is None:
-            alphabet = sorted({run for w in self.words for run in w})
-            self._alphabet = (alphabet, set(self.words))
-        return self._alphabet
+    @cached_property
+    def _alphabet(self):
+        # (sorted run values, set of codewords)
+        return sorted({run for w in self.words for run in w}), set(self.words)
 
     def fast_ints(self, a, b, d, p, q, g, h) -> list[Runs]:
         """Structured decode; returns the list of matches (want exactly one)."""
@@ -291,26 +220,26 @@ class Decoder:
         raise ValueError(f"no structured decoder for regime {self.regime!r}")
 
     def _fast_chain(self, a, b, d, p, q, g, h):
+        # the first run's drift window [1, gamma*xi], then each ratio x_c/x_1
+        # in its window [a_c*q/(b_1*p), b_c*p/(a_1*q)]
         matches = []
-        for base, words in self._groups(a, b, p, q):
-            x1 = base[0]
-            for c in range(2, self.k):
-                # window on ratio c: [a_c/(b_1*xi), b_c*xi/a_1]
-                if a[c] * q * x1 > b[0] * p * base[c] or base[c] * a[0] * q > b[c] * p * x1:
+        gpd, a0hq = g * p * d, a[0] * h * q
+        a0q, b0p = a[0] * q, b[0] * p
+        for w in self._candidates(a, b, p, q):
+            x1 = w[0]
+            if b[0] < d * x1 or a0hq > gpd * x1:
+                continue
+            for c in range(1, self.k):
+                if a[c] * q * x1 > b0p * w[c] or w[c] * a0q > b[c] * p * x1:
                     break
             else:
-                # multiplier window: Y_1/x_1 must reach [1, gamma*xi]
-                for w in words:
-                    if b[0] < d * w[0]:
-                        break  # multipliers ascend; later ones only larger
-                    if a[0] * h * q <= g * p * d * w[0]:
-                        matches.append(w)
+                matches.append(w)
         matches.sort()
         return matches
 
     def _fast_alphabet(self, a, b, d, p, q):
         # no drift: each run decodes on its own window [l, xi*l]
-        alphabet, wordset = self._alphabet_index()
+        alphabet, wordset = self._alphabet
         runs = []
         for i in range(self.k):
             # every run is an integer: p*d*l >= a_i*q and d*l <= b_i
@@ -355,7 +284,7 @@ class Decoder:
         counts = np.zeros((2, rows), dtype=np.int64)
         found = np.full((2, rows), -1, dtype=np.int64)
         gpd, hq = g * p * d, h * q
-        for r, w in _candidate_pairs(*self._point_windows(a_cols, p, q)):
+        for r, w in _window_pairs(*self._point_windows(a_cols, p, q)):
             # both decoders test the first run's drift window, which most
             # candidates fail; the rest is tested on the survivors
             a, x = a_cols[0, r], x_cols[0, w]
@@ -368,8 +297,7 @@ class Decoder:
             window = (d * x[1:] <= a[1:]) & (a[1:] * hq <= gpd * x[1:])
             hits = [window.all(0) & pair.all((0, 1))]
             if structure == "chain":
-                # _fast_chain: each ratio x_c/x_1 in its window (for c = 2,
-                # the bounds _groups gives it)
+                # _fast_chain: each ratio x_c/x_1 in its window
                 hits.append(pair[0].all(0) & pair[:, 0].all(0))
             for s, hit in enumerate(hits):
                 counts[s] += np.bincount(r[hit], minlength=rows)
@@ -383,18 +311,18 @@ class Decoder:
 
     @cached_property
     def _top(self):
-        return max(map(max, self.words))
+        return max(map(max, self.words), default=0)
 
     @cached_property
     def _word_columns(self):
         # int64 when every run fits, else Python ints
         words = np.array(self.words, dtype=np.int64 if self._top < _INT64_GUARD else object)
-        return np.ascontiguousarray(words.T)
+        return np.ascontiguousarray(words.reshape(len(self.words), self.k).T)
 
     def _point_windows(self, a_cols, p, q):
         """(order, starts, ends): the candidates for observation r (column r
-        of a_cols) are the words order[starts[r]:ends[r]], the groups
-        _groups gives it plus words the exact tests reject."""
+        of a_cols) are the words order[starts[r]:ends[r]], a superset of
+        the words consistent with it."""
         n, rows = len(self.words), a_cols.shape[1]
         if self.k > 1 and p == q:
             # a consistent codeword has the observation's primitive vector;
@@ -402,8 +330,7 @@ class Decoder:
             base, keys, order = self._primitive_keys
             key = _radix(np.minimum(_primitive_columns(a_cols), base - 1), base)
             return order, np.searchsorted(keys, key), np.searchsorted(keys, key, side="right")
-        if self.k == 1 or self._top >= _FLOAT_EXACT or p >= q * _FLOAT_EXACT:
-            # one run, runs past exact floats, or xi of 2^53 or more: every word
+        if self._every_word(p, q):
             return np.arange(n), np.zeros(rows, dtype=np.int64), np.full(rows, n)
         keys, order = self._ratio_keys
         # one correctly rounded division, of exact floats in int64 and of the
@@ -434,10 +361,16 @@ class Decoder:
         return keys[order], order
 
     @cached_property
+    def _ratio_lists(self):
+        # _ratio_keys as lists, keys and words, for bisect
+        keys, order = self._ratio_keys
+        return keys.tolist(), [self.words[i] for i in order.tolist()]
+
+    @cached_property
     def _alphabet_keys(self):
         # (alphabet, word keys); codewords ascend, and so do their keys
         x_cols = self._word_columns
-        alphabet = np.array(self._alphabet_index()[0], dtype=x_cols.dtype)
+        alphabet = np.array(self._alphabet[0], dtype=x_cols.dtype)
         keys = _radix(np.searchsorted(alphabet, x_cols), len(alphabet) + 1)
         return alphabet, keys
 

@@ -134,20 +134,28 @@ class PairScan:
         return list(zip(self.first.tolist(), self.second.tolist()))
 
 
-# int64 products in the pair kernel stay below this; past it the kernel runs
-# on Python ints.
+# int64 products in the pair kernel and the batched decoder stay below this;
+# past it they run on Python ints.
 _INT64_GUARD = 1 << 62
-# Windows are located in floats only for runs below this, where every run
-# converts to a float exactly.
+# Integers below this convert to floats exactly.
 _FLOAT_EXACT = 1 << 53
-# Relative margin on a float window end.  Keys x_2/x_1 of runs below
-# _FLOAT_EXACT, the factor, its product with the margin and each key's
-# product with that are correctly rounded, each within u = 2^-53.  If the
-# exact keys satisfy s_b <= factor * s_a, the float key of b exceeds the
-# float key of a times the factor by at most (1+u)/(1-u), while the computed
-# window end is at least that product times (1-u)^3 * _MARGIN, which is
-# larger.  Rounding is monotone, so sorting by float keys keeps exact order
-# up to ties, and ties share a window.  No confusable pair is dropped.
+# Relative margin on a float window end.  Three searches locate an exact
+# ratio window in floats: the pair scan, the batched point decoder and the
+# single-signal decoders.  Each runs only on runs below _FLOAT_EXACT and xi
+# below 2^53, so every word key x_2/x_1 is one correctly rounded division of
+# exact floats and lies in [2^-53, 2^53] (at k = 1 the pair scan's keys are
+# the runs themselves, and its factor gamma*xi is below 2^106).  A float window end is its exact
+# value through at most four correctly rounded operations (a Python
+# int / int is one), so a key and an end carry at most five roundings
+# between them, each within a factor 1 -+ u of exact, u = 2^-53, while
+# normal.  A word inside the exact window thus lies within a factor
+# (1+u)^5 / (1-u)^5 < 1 + 2^-49 of the float window, and widening each end
+# by _MARGIN keeps it.  An end outside the normal range is below or above
+# every key, and so is the exact end it stands for; the single-signal
+# decoders read an end past the float range as no upper limit, or as no
+# candidate.  Rounding is monotone, so sorting by float keys keeps the exact
+# order up to ties, which share every window.  No word the exact window
+# holds is dropped.
 _MARGIN = 1 + 2.0**-32
 # Candidate pairs tested per batch, which bounds the kernel's memory.
 _BATCH = 1 << 13
@@ -156,24 +164,30 @@ _BATCH = 1 << 13
 def scan_pairs(vertices: Sequence[Runs], spec: ChannelSpec) -> PairScan:
     """Every indistinguishable pair of vertices, by the candidate window."""
     vertices = list(vertices)
+    n = len(vertices)
     p, q, g, h = spec.ints
     mx = max(map(max, vertices), default=0)
     scalar = max(p * p, q * q, g * p, h * q) * mx * mx >= _INT64_GUARD
+    kernel = "scalar" if scalar else "int64"
+    keys = [np.empty(0, dtype=np.int64)]
+    if not n:
+        return PairScan(keys[0], keys[0], 0, kernel)
     arr = np.array(vertices, dtype=object if scalar else np.int64)
     columns = [np.ascontiguousarray(c) for c in arr.T]
-    # each unordered pair is found once; key it by its (low, high) index
-    n = len(vertices)
-    keys = []
     candidates = 0
-    for i, j in _candidates(arr, mx, spec):
+    # the window of sorted position a holds the later positions a+1..ends[a]-1
+    order, ends = _windows(arr, mx, spec)
+    for a, j in _window_pairs(order, np.arange(1, n + 1), ends):
+        i = order[a]
         candidates += len(i)
         keep = _kernel(columns, i, j, p, q, g, h)
         i, j = i[keep], j[keep]
+        # each unordered pair is found once; key it by its (low, high) index
         keys.append(np.minimum(i, j) * n + np.maximum(i, j))
-    key = np.concatenate(keys) if keys else np.empty(0, dtype=np.int64)
+    key = np.concatenate(keys)
     key.sort(kind="stable")
     first, second = np.divmod(key, n)
-    return PairScan(first, second, candidates, "scalar" if scalar else "int64")
+    return PairScan(first, second, candidates, kernel)
 
 
 def _windows(arr, mx, spec):
@@ -192,24 +206,22 @@ def _windows(arr, mx, spec):
     return order, np.searchsorted(keys, keys * (float(factor) * _MARGIN), side="right")
 
 
-def _candidates(arr, mx, spec):
-    """Yield batches (i, j) of candidate vertex pairs: every pair of sorted
-    positions a < b with b inside a's window, each pair once."""
-    if not len(arr):
-        return
-    order, ends = _windows(arr, mx, spec)
-    n = len(order)
-    counts = ends - np.arange(1, n + 1)
-    stops = np.cumsum(counts)
-    a0 = 0
-    while a0 < n:
-        base = int(stops[a0 - 1]) if a0 else 0
-        a1 = max(a0 + 1, int(np.searchsorted(stops, base + _BATCH, side="right")))
-        c = counts[a0:a1]
-        first = np.repeat(np.arange(a0, a1), c)
-        offset = np.arange(len(first)) - np.repeat(stops[a0:a1] - c - base, c)
-        yield order[first], order[first + 1 + offset]
-        a0 = a1
+def _window_pairs(order, starts, ends):
+    """Yield batches (row, item): item order[s] for each s in [starts[r],
+    ends[r]), row by row, about _BATCH pairs a batch (a larger row alone)."""
+    sizes = ends - starts
+    stops = np.cumsum(sizes)
+    r0 = 0
+    while r0 < len(sizes):
+        base = int(stops[r0 - 1]) if r0 else 0
+        r1 = max(r0 + 1, int(np.searchsorted(stops, base + _BATCH, side="right")))
+        size = sizes[r0:r1]
+        row = np.repeat(np.arange(r0, r1), size)
+        # pair number (from base) of row r's item at position s is
+        # s + stops[r] - size[r] - starts[r] - base
+        shift = np.repeat(stops[r0:r1] - size - starts[r0:r1] - base, size)
+        yield row, order[np.arange(len(row)) - shift]
+        r0 = r1
 
 
 def _kernel(columns, i, j, p, q, g, h):

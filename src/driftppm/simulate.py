@@ -136,9 +136,8 @@ def run_endpoint_roundtrips(
     if trials is not None:
         _check_trials(trials)
     spec, decoder = _trial_decoder(codebook, spec)
-    corners = endpoint_ints(spec, codebook.k, DEFAULT_T_CAP if t_cap is None else t_cap)
-    factors = [c for _, c in corners]
-    n, n_corners = len(decoder.words), len(corners)
+    d, factors = endpoint_ints(spec, codebook.k, DEFAULT_T_CAP if t_cap is None else t_cap)
+    n, n_corners = len(decoder.words), len(factors)
     total = n * n_corners if trials is None else trials
 
     def batches(dtype):
@@ -150,7 +149,7 @@ def run_endpoint_roundtrips(
             yield t % n, table[corner], corner
 
     scale = max(map(max, factors))
-    return _run_batches(decoder, spec, total, corners[0][0], scale, batches, n_corners)
+    return _run_batches(decoder, spec, total, d, scale, batches, n_corners)
 
 
 def run_uniform_roundtrips(

@@ -170,6 +170,5 @@ class TestIntegerRealizations:
                 corners = [
                     [r.t * z for z in r.z] for r in endpoint_realizations(spec, k, t_cap)
                 ]
-                assert corners == [
-                    [F(ci, d) for ci in c] for d, c in endpoint_ints(spec, k, t_cap)
-                ]
+                d, factors = endpoint_ints(spec, k, t_cap)
+                assert corners == [[F(ci, d) for ci in c] for c in factors]

@@ -1,4 +1,5 @@
 import hashlib
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -443,6 +444,24 @@ class TestInputSizeGuard:
         code, out, err = run(capsys, *argv)
         assert (code, out) == (1, "")
         assert err.startswith("error: k=") and "more than the" in err
+        assert err.count("\n") == 1
+
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("construct", "--k", "2", "--M", "100000", "--xi", "21/20"),
+            ("construct", "--k", "2", "--M", "100000", "--xi", "1", "--gamma", "1",
+             "--regime", "jitter"),
+        ],
+        ids=["farey-walk", "jitter-chain"],
+    )
+    def test_builders_past_enumerate_inputs_refused(self, capsys, argv):
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (1, "")
+        assert err.startswith("error: k=2, M=100000 has ") and "more than the" in err
         assert err.count("\n") == 1
 
 

@@ -6,6 +6,7 @@ from itertools import combinations
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from driftppm import constructions, core
 from driftppm.core import (
     INFINITY,
     ChannelSpec,
@@ -329,6 +330,54 @@ class TestCodeJitterBoundedDrift:
         spec = ChannelSpec(2, 1)
         for x, y in combinations(cb.codewords, 2):
             assert not indistinguishable(x, y, spec)
+
+
+class TestSizeGuard:
+    """The builders that do not go through enumerate_inputs count first."""
+
+    def test_farey_walk_limit_is_inclusive(self, monkeypatch):
+        # sum of phi(s) over s = 2..65: the coprime pairs the walk visits
+        monkeypatch.setattr(constructions, "MAX_INPUTS", 1307)
+        built = code_jitter_bounded_drift(65, F(21, 20), F(7, 4))
+        monkeypatch.setattr(constructions, "MAX_INPUTS", 1306)
+        text = "k=2, M=65 has = 1307 coprime inputs, more than the 1306"
+        for build in (
+            lambda: code_jitter_unbounded_drift(65, F(21, 20)),
+            lambda: code_jitter_bounded_drift(65, F(21, 20), F(7, 4)),
+            lambda: ratio_set(65),
+        ):
+            with pytest.raises(ValueError, match=f"^{text}"):
+                build()
+        monkeypatch.setattr(constructions, "MAX_INPUTS", 10**6)
+        assert code_jitter_bounded_drift(65, F(21, 20), F(7, 4)) == built
+
+    def test_farey_walk_counts_with_an_early_exit(self):
+        with pytest.raises(ValueError, match=r"^k=2, M=10000000000 has >= 200\d{4} coprime"):
+            code_jitter_unbounded_drift(10**10, F(21, 20))
+
+    @pytest.mark.parametrize("k, size", [(2, 1044), (3, 22403)])
+    def test_run_vector_limit_is_inclusive(self, monkeypatch, k, size):
+        monkeypatch.setattr(core, "MAX_INPUTS", size)
+        assert len(code_jitter(k, 65, F(21, 20))) == size
+        monkeypatch.setattr(core, "MAX_INPUTS", size - 1)
+        text = f"k={k}, M=65 has = {size} inputs over 38 run values, more than the {size - 1}"
+        with pytest.raises(ValueError, match=f"^{text}"):
+            code_jitter(k, 65, F(21, 20))
+
+    def test_drift_chain_refused_before_its_multipliers(self, monkeypatch):
+        # at gamma = 1 the chain holds every multiplier up to M
+        def refuse(*args):
+            raise AssertionError("the chain was built")
+
+        monkeypatch.setattr(constructions, "geometric_multipliers", refuse)
+        with pytest.raises(ValueError, match=r"^k=2, M=10000000000 has C\(M, k\)"):
+            code_bounded_drift(2, 10**10, 1)
+
+    def test_run_vectors_refused_level_by_level(self):
+        # at xi = 1 every run is on the chain: the first level alone has
+        # 99 998 prefixes, whose completions are counted, never built
+        with pytest.raises(ValueError, match=r"^k=3, M=100000 has >= 4999850001 inputs"):
+            code_jitter(3, 100_000, 1)
 
 
 class TestBestAchievableRate:

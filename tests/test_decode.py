@@ -288,6 +288,92 @@ def _multiples_of(data, k):
     return Codebook.build(k, m, ChannelSpec(1, INFINITY), "custom", words)
 
 
+def _outcome(decode_fn, signal, book):
+    try:
+        return decode_fn(signal, book)
+    except DecodeError as exc:
+        return type(exc)
+
+
+def _expected(matches):
+    if len(matches) == 1:
+        return matches[0]
+    return AmbiguityError if matches else NoCodewordError
+
+
+def assert_matches_feasibility_scan(book, signal):
+    """consistent_ints equals the _feasible scan of every word, fast_ints
+    equals itself with every word a candidate, and decode and decode_fast
+    answer by them: the one word, NoCodewordError or AmbiguityError."""
+    spec_ints = book.spec.ints
+    p, q, g, h = spec_ints
+    a, b, d = _normalize_signal(signal, None)
+    decoder = Decoder(book)
+    scan = [w for w in book.codewords if decoder._feasible(w, a, b, d, p, q, g * p * d, h * q)]
+    assert decoder.consistent_ints(a, b, d, *spec_ints) == scan
+    every = Decoder(book)
+    every._candidates = lambda *args: book.codewords
+    fast = every.fast_ints(a, b, d, *spec_ints)
+    assert decoder.fast_ints(a, b, d, *spec_ints) == fast
+    assert _outcome(decode, signal, book) == _expected(scan)
+    assert _outcome(decode_fast, signal, book) == _expected(fast)
+
+
+def _edge_book(k, words, xi=1, regime="gcd"):
+    m = max((sum(w) for w in words), default=k)
+    return Codebook(k, m, ChannelSpec(xi, INFINITY), regime, tuple(sorted(words)))
+
+
+_HUGE = 10**400
+# first ratios 1 + 2^-52 and 1 + 1/(2^52 + 1): distinct, one float
+_CLOSE = ((2**52, 2**52 + 1), (2**52 + 1, 2**52 + 2))
+_EXTREME_FLOATS = [ObservedSignal.from_floats(v) for v in ((5e-324, 1e300), (1e300, 5e-324))]
+EDGE_INPUTS = [
+    ("empty", _edge_book(2, ()), [exact(3, 5), exact(3, 5).as_floats(), *_EXTREME_FLOATS]),
+    ("empty-k1", _edge_book(1, (), regime="bounded-drift"), [exact(3), exact(_HUGE)]),
+    ("extreme-floats", GCD65, _EXTREME_FLOATS),
+    ("extreme-floats-jitter", code_jitter_unbounded_drift(65, F(3, 2)), _EXTREME_FLOATS),
+    (
+        "huge-exact",
+        GCD65,
+        [exact(_HUGE, 2 * _HUGE), exact(1, _HUGE), exact(_HUGE, 1), exact(F(1, _HUGE), 1)],
+    ),
+    (
+        "huge-exact-jitter",
+        code_jitter_bounded_drift(30, F(3, 2), F(7, 4)),
+        [exact(_HUGE, 2 * _HUGE), exact(1, _HUGE), exact(_HUGE, 1), exact(_HUGE, _HUGE)],
+    ),
+    (
+        "one-float-key",
+        _edge_book(2, _CLOSE),
+        [exact(*w) for w in _CLOSE]
+        + [exact(*(3 * r for r in w)) for w in _CLOSE]
+        + [exact(*w).as_floats() for w in _CLOSE]
+        + [exact(2**52, 2**52 + F(3, 2))],
+    ),
+    (
+        "one-float-key-jitter",
+        _edge_book(2, _CLOSE, xi=F(21, 20), regime="jitter-unbounded-drift"),
+        [exact(*w) for w in _CLOSE] + [exact(*w).as_floats() for w in _CLOSE],
+    ),
+    (
+        "runs-past-2^53",
+        _edge_book(2, ((1, 2), (2**53, 2**53 + 1), (2**53 + 1, 2**53 + 2), (3, 2**60))),
+        [exact(2**53, 2**53 + 1), exact(2, 4), exact(1, 2**57), exact(2**53, 2**53 + 1).as_floats()],
+    ),
+    (
+        "xi-past-2^53",
+        _edge_book(2, ((1, 2), (1, 2**60), (7, 3)), xi=2**53, regime="jitter-unbounded-drift"),
+        [exact(1, 2), exact(5, 1), exact(1, 2**70), exact(1, 2**70).as_floats()],
+    ),
+    (
+        "xi-past-2^53-k3",
+        _edge_book(3, ((1, 2, 3), (5, 1, 1)), xi=_HUGE, regime="jitter-unbounded-drift"),
+        [exact(1, 2, 3), exact(_HUGE, 1, 1), exact(1, 1, 1).as_floats()],
+    ),
+]
+
+
 class TestJitterlessLookup:
     @given(st.data())
     @settings(max_examples=200, deadline=None)
@@ -319,6 +405,13 @@ class TestJitterlessLookup:
             if decoder._feasible(w, a, b, d, p, q, g * p * d, h * q)
         ]
         assert decoder.consistent_ints(a, b, d, *spec_ints) == scan
+
+    @pytest.mark.parametrize(
+        "book, signals", [c[1:] for c in EDGE_INPUTS], ids=[c[0] for c in EDGE_INPUTS]
+    )
+    def test_edge_inputs_match_feasibility_scan(self, book, signals):
+        for signal in signals:
+            assert_matches_feasibility_scan(book, signal)
 
     def test_all_multiples_in_window(self):
         book = Codebook(2, 20, ChannelSpec(1, INFINITY), "custom", ((1, 2), (2, 4), (3, 6), (4, 7)))

@@ -7,7 +7,11 @@ Each group hashes one family of outputs, so a failure names what changed:
   a grid of xi and gamma values and every regime including auto;
 * ``cli`` -- stdout, file output and exit code of ``construct``, ``verify``
   and ``simulate`` (both modes) at the headline and three grid points;
-* ``sweeps`` -- the CSVs of the ascending sweeps in demos/rate_sweeps.py.
+* ``sweeps`` -- the CSVs of the ascending sweeps in demos/rate_sweeps.py;
+* ``decoders`` -- the word, or the error's type and message, that ``decode``
+  and ``decode_fast`` give on seeded exact in-spec, off-spec, jitterless
+  multiple and near-tolerance float signals over the constructed books of
+  test_decode.py plus a k = 3 jitter book.
 
 A change that moves a digest on purpose records the new one here and says
 why in CHANGES.md.
@@ -15,14 +19,19 @@ why in CHANGES.md.
 
 import hashlib
 import math
+import random
 from fractions import Fraction as F
 
 import pytest
 
 from driftppm.cli import main
 from driftppm.codebook_io import dumps_codebook
-from driftppm.constructions import AUTO_REGIME, construct
+from driftppm.channel import ObservedSignal
+from driftppm.constructions import AUTO_REGIME, code_jitter, construct
 from driftppm.core import REGIMES
+from driftppm.decode import DEFAULT_FLOAT_TOLERANCE, decode, decode_fast
+
+from test_decode import CONSTRUCTED
 
 XI_GRID = (F(1), F(21, 20), F(3, 2), F(2))
 GAMMA_GRID = (F(1), F(3, 2), F(7, 4), F(4), math.inf)
@@ -50,6 +59,7 @@ PINNED = {
     "constructions": "1938cde9fa26b3ab8d1807e6fef4645e60611378fcc1f4180c3c03db7cfdcb0b",
     "cli": "74c68a82dfcc800014111dabf9133b8b621f6081b29c8d7f3c92e9061ac7f20e",
     "sweeps": "0390e9d74ee9f2f1dd836ae946ea20a8f61e9ba2b713f4851f8da0f4a2aa11bb",
+    "decoders": "1fde7d4609c872baf7e80ff6a7765d6162508d82412f5aa814680d28abda5ab6",
 }
 
 
@@ -97,7 +107,53 @@ def _sweeps(tmp_path, capsys):
         yield _run(capsys, "sweep", "--param", param, "--values", values, *rest)
 
 
-GROUPS = {"constructions": _constructions, "cli": _cli, "sweeps": _sweeps}
+def _signals(book, rng):
+    """Seeded signals for one book: in spec, off spec, jitterless multiples
+    of a word, and floats with noise around the tolerance."""
+    spec = book.spec
+    hi_t = F(6) if spec.unbounded_drift else spec.gamma
+
+    def unit():
+        return F(rng.choice((0, 1, rng.randrange(1, 64))), 64) if rng.random() < 0.8 else F(rng.random())
+
+    for kind in ("in", "off", "multiple", "float"):
+        for _ in range(60):
+            word = rng.choice(book.codewords)
+            t = 1 + (hi_t - 1) * unit()
+            values = [t * (1 + (spec.xi - 1) * unit()) * r for r in word]
+            if kind == "off":
+                c = rng.randrange(book.k)
+                values[c] *= F(rng.randrange(1, 97), rng.randrange(1, 97))
+                scale = rng.choice((1, 1, F(rng.randrange(1, 32), 32), F(rng.randrange(33, 80), 32)))
+                values = [v * scale for v in values]
+            elif kind == "multiple":
+                lam = F(rng.randrange(1, 97), rng.randrange(1, 25))
+                values = [lam * r for r in word]
+            if kind != "float":
+                yield ObservedSignal.from_exact(values)
+                continue
+            tol = DEFAULT_FLOAT_TOLERANCE
+            eps = [tol * F(rng.randrange(0, 2001), 1000) * rng.choice((-1, 1)) for _ in values]
+            yield ObservedSignal.from_floats([float(v * (1 + e)) for v, e in zip(values, eps)])
+
+
+def _decoders(tmp_path, capsys):
+    rng = random.Random(12)
+    for book in (*CONSTRUCTED, code_jitter(3, 20, F(21, 20))):
+        for signal in _signals(book, rng):
+            for decode_fn in (decode, decode_fast):
+                try:
+                    yield repr(decode_fn(signal, book))
+                except Exception as exc:
+                    yield f"{type(exc).__name__}: {exc}"
+
+
+GROUPS = {
+    "constructions": _constructions,
+    "cli": _cli,
+    "sweeps": _sweeps,
+    "decoders": _decoders,
+}
 
 
 def digest(group, tmp_path, capsys) -> str:
