@@ -5,7 +5,10 @@ jitter factor Z_i per run; the receiver observes Y_i = T * Z_i * x_i.  The
 channel is adversarial -- codes must survive *every* admissible realization --
 so the primary coverage tool is the set of 2^(k+1) corner realizations
 (each factor at its lower or upper bound); seeded uniform sampling fills in
-interior points.
+interior points.  Uniform factors lie on an exact 2^-53 grid; a round trip
+draws its grid indices, many trials at once, from a counter-based generator
+(SplitMix64 keyed on the seed), and sample_realization draws one realization
+from random.Random.
 """
 
 from __future__ import annotations
@@ -17,6 +20,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
 
+import numpy as np
+
 from .core import ChannelSpec, as_ratio
 
 __all__ = [
@@ -26,6 +31,8 @@ __all__ = [
     "sample_realization",
     "endpoint_realizations",
     "derive_trial_seed",
+    "run_key",
+    "counter_draws",
     "endpoint_ints",
     "uniform_sampler",
 ]
@@ -112,48 +119,79 @@ def derive_trial_seed(seed: int, trial: int) -> int:
     return int.from_bytes(digest[:8], "little")
 
 
+def run_key(seed: int) -> int:
+    """64-bit key of a seed's uniform round trips: blake2s of its decimal
+    text, so every int seed, negative or past 2^64, has its own stream."""
+    digest = hashlib.blake2s(str(seed).encode()).digest()
+    return int.from_bytes(digest[:8], "little")
+
+
+def counter_draws(key: int, first: int, count: int, slots: int) -> np.ndarray:
+    """Draws of trials first .. first+count-1, as a (count, slots) uint64 array.
+
+    Entry [r, j] is output (first + r) * slots + j, counted from 0, of
+    SplitMix64 (Steele, Lea & Flood, OOPSLA 2014) seeded with key: the
+    state key + (counter + 1) * golden gamma, modulo 2^64, through its mix.
+    Each entry is a function of (key, trial, slot) alone, so a batch is
+    array arithmetic and no trial depends on the others.  Every operation
+    is on arrays, whose uint64 arithmetic wraps without a warning.
+    """
+    trial = np.arange(first, first + count, dtype=np.uint64)[:, None]
+    counter = trial * np.uint64(slots) + np.arange(slots, dtype=np.uint64)
+    z = (counter + np.uint64(1)) * np.uint64(0x9E3779B97F4A7C15) + np.uint64(key)
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return z ^ (z >> np.uint64(31))
+
+
 def sample_realization(
     spec: ChannelSpec, k: int, seed: int, t_cap=None
 ) -> ChannelRealization:
     """Draw one uniform realization.
 
     T and each Z_i are independently uniform on their intervals, on an exact
-    2^-53 rational grid, reproducible from the seed.  endpoint_realizations
-    gives the corners.
+    2^-53 rational grid, reproducible from the seed: random.Random(seed)
+    draws the grid indices of T, Z_1, ..., Z_k in that order.
+    endpoint_realizations gives the corners.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    td, t_step = _grid_steps(_upper_drift(spec, t_cap))
-    zd, z_step = _grid_steps(spec.xi)
+    td, t_point = _grid(_upper_drift(spec, t_cap))
+    zd, z_point = _grid(spec.xi)
     rng = random.Random(seed)
-    t = Fraction(td + t_step * rng.getrandbits(_GRID_BITS), td)
-    z = tuple(Fraction(zd + z_step * rng.getrandbits(_GRID_BITS), zd) for _ in range(k))
+    t = Fraction(t_point(rng.getrandbits(_GRID_BITS)), td)
+    z = tuple(Fraction(z_point(rng.getrandbits(_GRID_BITS)), zd) for _ in range(k))
     return ChannelRealization(t, z)
 
 
-def _grid_steps(hi: Fraction) -> tuple[int, int]:
-    """(den, step): grid point u/2^53 on [1, hi] is the factor (den + step*u)/den."""
-    return hi.denominator << _GRID_BITS, hi.numerator - hi.denominator
+def _grid(hi: Fraction):
+    """(den, point): grid index u in [0, 2^53) is the factor point(u)/den
+    = 1 + (hi - 1) * u/2^53 on [1, hi].  point maps ints, and numpy object
+    arrays of them elementwise."""
+    den, step = hi.denominator << _GRID_BITS, hi.numerator - hi.denominator
+    return den, lambda u: den + step * u
 
 
-def uniform_sampler(spec: ChannelSpec, k: int, t_cap=None):
+def uniform_sampler(spec: ChannelSpec, t_cap=None):
     """Integer form of uniform sampling, for round-trip drivers.
 
-    Returns (d, top, draw): draw(rng) -> c is the realization that
-    sample_realization would draw from the same generator state, as
-    integers, so that a word x is observed as Y_i = c_i * x_i / d; no c_i
-    exceeds top.  It makes the same generator calls.
+    Returns (d, top, factors): factors(u) maps grid indices to realizations,
+    row by row, on a numpy object array of Python ints.  A row u = (u_T,
+    u_Z1, ..., u_Zk), each in [0, 2^53), is the realization with the grid
+    points T and Z_i that sample_realization would give for the same
+    indices, as the row c with c_i = T * Z_i * d, so that a word x is
+    observed as Y_i = c_i * x_i / d.  No c_i exceeds top.
     """
     hi_t = _upper_drift(spec, t_cap)
-    td, t_step = _grid_steps(hi_t)
-    zd, z_step = _grid_steps(spec.xi)
+    td, t_point = _grid(hi_t)
+    zd, z_point = _grid(spec.xi)
 
-    def draw(rng: random.Random) -> list[int]:
-        t = td + t_step * rng.getrandbits(_GRID_BITS)
-        return [t * (zd + z_step * rng.getrandbits(_GRID_BITS)) for _ in range(k)]
+    def factors(u: np.ndarray) -> np.ndarray:
+        # (T * td) * (Z_i * zd): products near 2^110
+        return t_point(u[:, :1]) * z_point(u[:, 1:])
 
     # T <= hi_t and Z_i <= xi, over the grid denominators td and zd
-    return td * zd, (hi_t.numerator * spec.xi.numerator) << (2 * _GRID_BITS), draw
+    return td * zd, (hi_t.numerator * spec.xi.numerator) << (2 * _GRID_BITS), factors
 
 
 def _corners(k: int) -> Iterator[tuple[int, tuple[int, ...]]]:

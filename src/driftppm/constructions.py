@@ -24,7 +24,8 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from fractions import Fraction
-from typing import Sequence
+from itertools import islice
+from typing import Iterator, Sequence
 
 from .core import (
     INFINITY,
@@ -36,6 +37,7 @@ from .core import (
     Runs,
     UnsupportedRegimeError,
     _as_drift_ratio,
+    _check_frame,
     _run_vectors,
     as_ratio,
     enumerate_inputs,
@@ -77,16 +79,19 @@ def geometric_multipliers(step, limit: int) -> list[int]:
     multiplier is step * d + 1).  An infinite step (math.inf or "inf") yields
     just [1].
     """
-    step = _as_drift_ratio(step, "step ratio")
+    return list(_multipliers(_as_drift_ratio(step, "step ratio"), limit))
+
+
+def _multipliers(step, limit: int) -> Iterator[int]:
+    """geometric_multipliers of a parsed step, one at a time."""
     if limit < 1:
-        return []
+        return
+    yield 1
     if step == INFINITY:
-        return [1]
-    num, den = step.numerator, step.denominator
-    out = [1]
-    while (nxt := num * out[-1] // den + 1) <= limit:
-        out.append(nxt)
-    return out
+        return
+    num, den, d = step.numerator, step.denominator, 1
+    while (d := num * d // den + 1) <= limit:
+        yield d
 
 
 def multiples_chain(runs: Sequence[int], gamma, m: int) -> list[Runs]:
@@ -144,7 +149,18 @@ def code_jitter(k: int, m: int, xi) -> Codebook:
     chain values differ by more than the jitter can bridge.
     """
     spec = ChannelSpec(xi, 1)
-    words = _run_vectors(k, m, geometric_multipliers(spec.xi, m))
+    _check_frame(k, m)
+    values = _multipliers(spec.xi, m)
+    # the vectors (1, ..., 1, r) alone number as many as the chain's values
+    # up to m - k + 1, so past MAX_INPUTS of those the chain is not built
+    chain = list(islice(values, MAX_INPUTS + 1))
+    if len(chain) > MAX_INPUTS and chain[-1] <= m - k + 1:
+        raise ValueError(
+            f"k={k}, M={m} has >= {len(chain)} inputs over the jitter chain, "
+            f"more than the {MAX_INPUTS} that can be enumerated"
+        )
+    chain.extend(values)
+    words = _run_vectors(k, m, chain)
     return Codebook(k, m, spec, "jitter", tuple(words))
 
 

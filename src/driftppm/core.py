@@ -263,14 +263,19 @@ def enumerate_inputs(k: int, m: int) -> list[Runs]:
     return _run_vectors(k, m, range(1, m + 1))
 
 
-def _run_vectors(k: int, m: int, alphabet: Sequence[int]) -> list[Runs]:
-    """Vectors of k runs from a sorted alphabet holding 1, summing to <= m,
-    in lexicographic order.  Raises ValueError past MAX_INPUTS, counting
-    each level before it is built."""
+def _check_frame(k: int, m: int) -> None:
+    """Refuse k < 1 pulses, and a frame of m < k bins, which holds no input."""
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     if m < k:
         raise EmptyDomainError(f"no inputs with {k} pulses in {m} bins")
+
+
+def _run_vectors(k: int, m: int, alphabet: Sequence[int]) -> list[Runs]:
+    """Vectors of k runs from a sorted alphabet holding 1, summing to <= m,
+    in lexicographic order.  Raises ValueError past MAX_INPUTS, counting
+    each level before it is built."""
+    _check_frame(k, m)
     # extend every prefix, in order, by each run that leaves a bin for each
     # run still to come; each prefix carries the bins it has left, and has a
     # completion (all later runs 1), so no level outnumbers the vectors

@@ -8,8 +8,10 @@ zero by definition; these drivers make that executable.
 
 Endpoint mode walks all corner realizations (each of T and the Z_i at its
 lower or upper bound) round-robin over the codewords; uniform mode samples
-interior realizations reproducibly from a seed, with each trial's generator
-derived independently so runs parallelize without changing results.
+interior realizations reproducibly from a seed.  Its draws come from a
+counter-based generator, so trial t's word and realization depend only on
+(seed, t): a whole batch of trials is drawn in one array pass, and no split
+of the trials into batches or runs changes them.
 
 Both modes decode their trials in batches through Decoder.decode_points, as
 int64 arrays where every product fits and as arrays of Python ints
@@ -19,7 +21,6 @@ trials, to word the report's examples.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
@@ -27,7 +28,7 @@ from typing import Optional
 import numpy as np
 
 from .core import REGIMES, ChannelSpec, Codebook
-from .channel import derive_trial_seed, endpoint_ints, uniform_sampler
+from .channel import counter_draws, endpoint_ints, run_key, uniform_sampler
 from .decode import AmbiguityError, get_decoder
 
 __all__ = ["TrialReport", "DEFAULT_T_CAP", "run_endpoint_roundtrips", "run_uniform_roundtrips"]
@@ -162,19 +163,23 @@ def run_uniform_roundtrips(
     """Seeded uniform trials: random codeword, random interior realization.
 
     With unbounded drift, T is drawn from [1, t_cap] and t_cap is required.
+    Trial t reads the k+2 SplitMix64 outputs x_0..x_{k+1} that counter_draws
+    gives it under run_key(seed).  It sends codeword floor(x_0 * n / 2^64),
+    which gives each of the n codewords a probability within 2^-64 of 1/n (a
+    relative bias below n/2^64), and x_1 >> 11 and x_{i+1} >> 11 are the
+    2^-53 grid indices of T and Z_i.
     """
     _check_trials(trials)
     spec, decoder = _trial_decoder(codebook, spec)
-    d, scale, draw = uniform_sampler(spec, codebook.k, t_cap)
-    n = len(decoder.words)
+    d, scale, factors = uniform_sampler(spec, t_cap)
+    key, n, slots = run_key(seed), len(decoder.words), codebook.k + 2
 
     def batches(dtype):
         for first in range(0, trials, _ROWS):
-            word, factors = [], []
-            for t in range(first, min(first + _ROWS, trials)):
-                rng = random.Random(derive_trial_seed(seed, t))
-                word.append(rng.randrange(n))
-                factors.append(draw(rng))
-            yield np.array(word), np.array(factors, dtype=dtype), None
+            x = counter_draws(key, first, min(_ROWS, trials - first), slots)
+            word = (x[:, 0].astype(object) * n >> 64).astype(np.intp)
+            # the top 53 bits: 2^-53 grid indices, whose products need Python ints
+            grid = (x[:, 1:] >> np.uint64(11)).astype(object)
+            yield word, factors(grid).astype(dtype, copy=False), None
 
     return _run_batches(decoder, spec, trials, d, scale, batches)

@@ -2,6 +2,7 @@ import math
 import random
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -9,13 +10,17 @@ from driftppm.core import INFINITY, ChannelSpec
 from driftppm.channel import (
     ChannelRealization,
     ObservedSignal,
+    counter_draws,
     derive_trial_seed,
     endpoint_ints,
     endpoint_realizations,
+    run_key,
     sample_realization,
     transmit,
     uniform_sampler,
 )
+
+from reference_draws import splitmix64, trial_draws, uniform_trial
 
 
 class TestTransmit:
@@ -132,9 +137,50 @@ class TestSeedDerivation:
         assert derive_trial_seed(1, 5) != derive_trial_seed(2, 5)
 
 
-def _fraction_draws(rng, hi_t, xi, k):
-    """T, Z_1..Z_k by the per-draw Fraction formula on the 2^-53 grid."""
-    return [1 + (hi - 1) * F(rng.getrandbits(53), 1 << 53) for hi in (hi_t,) + (xi,) * k]
+class TestCounterDraws:
+    # signed, past 2^64, and each side of a batch of 1 024 trials
+    SEEDS = (0, -1, 2**64 - 1, 2**64, 2**200)
+    TRIALS = (0, 1023, 1024, 1025, 99_999)
+
+    def test_reference_matches_published_outputs(self):
+        # SplitMix64 seeded with 1234567: its first five outputs
+        assert [splitmix64(1234567, i) for i in range(5)] == [
+            6457827717110365317, 3203168211198807973, 9817491932198370423,
+            4593380528125082431, 16408922859458223821,
+        ]
+
+    def test_run_keys_are_distinct(self):
+        keys = [run_key(seed) for seed in self.SEEDS]
+        assert len(set(keys)) == len(keys) and all(0 <= key < 2**64 for key in keys)
+
+    @given(
+        seed=st.sampled_from(SEEDS) | st.integers(-(2**70), 2**70),
+        trial=st.sampled_from(TRIALS) | st.integers(0, 10**6),
+        count=st.integers(1, 3),
+        k=st.integers(1, 4),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_batch_matches_scalar_reference(self, seed, trial, count, k):
+        # the batch starts at or just before trial and ends just past it
+        first = max(0, trial - count + 1)
+        x = counter_draws(run_key(seed), first, count + 1, k + 2)
+        assert x.dtype == np.uint64 and x.shape == (count + 1, k + 2)
+        assert x.tolist() == [trial_draws(seed, t, k) for t in range(first, first + count + 1)]
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_unbounded_drift_realizations(self, seed, k):
+        # gamma = inf: T on the grid of [1, t_cap]
+        spec, t_cap = ChannelSpec(F(3, 2), INFINITY), F(13, 2)
+        d, top, factors = uniform_sampler(spec, t_cap)
+        for trial in self.TRIALS:
+            x = counter_draws(run_key(seed), trial, 1, k + 2)
+            (row,) = factors((x[:, 1:] >> np.uint64(11)).astype(object)).tolist()
+            _, (u_t, *u_z) = uniform_trial(seed, trial, 1, k)
+            t = 1 + (t_cap - 1) * F(u_t, 1 << 53)
+            z = [1 + (spec.xi - 1) * F(u, 1 << 53) for u in u_z]
+            assert [F(c, d) for c in row] == [t * zi for zi in z]
+            assert max(row) <= top
 
 
 class TestIntegerRealizations:
@@ -148,15 +194,15 @@ class TestIntegerRealizations:
     def test_uniform_sampler_matches_fraction_formula(self, seed, k, xi, gamma):
         spec = ChannelSpec(xi, gamma)
         t_cap = F(13, 2)
-        ints_rng = random.Random(seed)
-        d, top, draw = uniform_sampler(spec, k, t_cap)
-        c = draw(ints_rng)
+        hi_t = t_cap if gamma == INFINITY else gamma
+        # the grid indices that sample_realization draws from random.Random(seed)
+        rng = random.Random(seed)
+        u = [rng.getrandbits(53) for _ in range(k + 1)]
+        d, top, factors = uniform_sampler(spec, t_cap)
+        (c,) = factors(np.array([u], dtype=object)).tolist()
         assert max(c) <= top
-        fraction_rng = random.Random(seed)
-        t, *z = _fraction_draws(fraction_rng, F(13, 2) if gamma == INFINITY else gamma, xi, k)
+        t, *z = [1 + (hi - 1) * F(ui, 1 << 53) for hi, ui in zip((hi_t,) + (xi,) * k, u)]
         assert [F(ci, d) for ci in c] == [t * zi for zi in z]
-        # same generator calls: both streams continue in step
-        assert ints_rng.getrandbits(64) == fraction_rng.getrandbits(64)
         r = sample_realization(spec, k, seed, t_cap=t_cap)
         assert (r.t, r.z) == (t, tuple(z))
 

@@ -283,7 +283,7 @@ class TestSimulate:
         )
         code, out, _ = run(capsys, "simulate", "--code", str(path), "--mode", mode,
                            "--trials", "40", "--seed", "3")
-        failures = {"endpoints": 70, "uniform": 77}[mode]
+        failures = {"endpoints": 70, "uniform": 76}[mode]
         assert (code, out) == (2, f"trials=40 failures={failures}\n")
 
     @pytest.mark.parametrize("mode", ["endpoints", "uniform"])
@@ -462,6 +462,18 @@ class TestInputSizeGuard:
         assert time.perf_counter() - start < 1
         assert (code, out) == (1, "")
         assert err.startswith("error: k=2, M=100000 has ") and "more than the" in err
+        assert err.count("\n") == 1
+
+    def test_jitter_chain_refused_before_it_is_built(self, capsys):
+        # at xi = 1 the chain would hold every run value up to 10^8
+        start = time.perf_counter()
+        code, out, err = run(
+            capsys, "construct", "--k", "1", "--M", "100000000", "--xi", "1",
+            "--gamma", "1", "--regime", "jitter",
+        )
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (1, "")
+        assert err.startswith("error: k=1, M=100000000 has >= ") and "jitter chain" in err
         assert err.count("\n") == 1
 
 

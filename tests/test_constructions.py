@@ -373,6 +373,35 @@ class TestSizeGuard:
         with pytest.raises(ValueError, match=r"^k=2, M=10000000000 has C\(M, k\)"):
             code_bounded_drift(2, 10**10, 1)
 
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_jitter_chain_limit_is_inclusive(self, monkeypatch, k):
+        # at xi = 1 the chain's values up to M - k + 1 are 1 .. M - k + 1
+        monkeypatch.setattr(constructions, "MAX_INPUTS", 30 - k + 1)
+        assert code_jitter(k, 30, 1).codewords == tuple(enumerate_inputs(k, 30))
+        monkeypatch.setattr(constructions, "MAX_INPUTS", 30 - k)
+        text = f"k={k}, M=30 has >= {31 - k} inputs over the jitter chain, more than the {30 - k}"
+        with pytest.raises(ValueError, match=f"^{text}"):
+            code_jitter(k, 30, 1)
+
+    def test_jitter_chain_refused_before_it_is_built(self, monkeypatch):
+        # 10^8 chain values at xi = 1: no more than MAX_INPUTS + 1 are drawn
+        drawn = []
+
+        def counted(step, limit):
+            for value in multipliers(step, limit):
+                drawn.append(value)
+                yield value
+
+        multipliers = constructions._multipliers
+        monkeypatch.setattr(constructions, "_multipliers", counted)
+        monkeypatch.setattr(constructions, "MAX_INPUTS", 1000)
+        with pytest.raises(ValueError, match=r"^k=1, M=100000000 has >= 1001 inputs"):
+            code_jitter(1, 10**8, 1)
+        assert drawn == list(range(1, 1002))
+        with pytest.raises(ValueError, match="k must be >= 1"):
+            code_jitter(0, 10**8, 1)
+        assert len(drawn) == 1001
+
     def test_run_vectors_refused_level_by_level(self):
         # at xi = 1 every run is on the chain: the first level alone has
         # 99 998 prefixes, whose completions are counted, never built

@@ -1,13 +1,13 @@
 import importlib
 import math
-import random
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from driftppm import channel as channel_module, simulate as simulate_module
 from driftppm.core import INFINITY, REGIMES, ChannelSpec, Codebook, enumerate_inputs
-from driftppm.channel import derive_trial_seed, endpoint_realizations
+from driftppm.channel import endpoint_realizations
 from driftppm.constructions import (
     code_bounded_drift,
     code_gcd,
@@ -22,6 +22,7 @@ from driftppm.simulate import (
     run_endpoint_roundtrips,
     run_uniform_roundtrips,
 )
+from reference_draws import uniform_trial
 
 # the package re-exports the function decode under the module's name
 decode_module = importlib.import_module("driftppm.decode")
@@ -74,9 +75,9 @@ def oracle_report(codebook, spec=None, t_cap=None, trials=None):
 
 def uniform_oracle(codebook, trials, seed, spec=None, t_cap=None):
     """(trials, failures, examples, corner_failures, kernel) of the uniform
-    round trips, one trial at a time: each trial's seeded draws of T and
-    the Z_i, as Fractions on the 2^-53 grid, through consistent_ints and
-    fast_ints of a fresh Decoder."""
+    round trips, one trial at a time: each trial's word and grid indices
+    from the scalar SplitMix64 reference, T and the Z_i as Fractions on the
+    2^-53 grid, through consistent_ints and fast_ints of a fresh Decoder."""
     spec = codebook.spec if spec is None else spec
     hi_t = F(t_cap) if spec.unbounded_drift else spec.gamma
     decoder = Decoder(codebook)
@@ -84,15 +85,14 @@ def uniform_oracle(codebook, trials, seed, spec=None, t_cap=None):
     examples = []
     failures = 0
     for t in range(trials):
-        rng = random.Random(derive_trial_seed(seed, t))
-        word = words[rng.randrange(len(words))]
+        pick, grid = uniform_trial(seed, t, len(words), codebook.k)
         drift, *jitter = [
-            1 + (hi - 1) * F(rng.getrandbits(53), 1 << 53)
-            for hi in (hi_t,) + (spec.xi,) * codebook.k
+            1 + (hi - 1) * F(u, 1 << 53)
+            for hi, u in zip((hi_t,) + (spec.xi,) * codebook.k, grid)
         ]
-        details = trial_details(decoder, word, [drift * z for z in jitter], spec)
+        details = trial_details(decoder, words[pick], [drift * z for z in jitter], spec)
         failures += len(details)
-        examples += [(word, detail) for detail in details]
+        examples += [(words[pick], detail) for detail in details]
     # the grid puts 2^106 into every observation's denominator, past int64
     return trials, failures, examples[:10], [], "scalar"
 
@@ -309,6 +309,27 @@ class TestBatchedUniform:
             book, 1500, seed=4, spec=ChannelSpec(2, INFINITY), t_cap=4
         )
         assert report.failures > 0
+
+    def test_trials_do_not_depend_on_the_batch_split(self, monkeypatch):
+        # a looser spec than the book's: some trials fail
+        book = code_jitter(2, 20, F(3, 2))
+        loose = dict(spec=ChannelSpec(F(9, 4), INFINITY), t_cap=4)
+        long = run_uniform_roundtrips(book, 2500, seed=9, **loose)
+        short = run_uniform_roundtrips(book, 1025, seed=9, **loose)
+        # the first ten failures fall in the first 1 025 trials, in both runs
+        assert len(short.examples) == 10 and 0 < short.failures < long.failures
+        assert long.examples == short.examples
+        for rows in (1, 7, 1000):
+            monkeypatch.setattr(simulate_module, "_ROWS", rows)
+            assert run_uniform_roundtrips(book, 2500, seed=9, **loose) == long
+
+    def test_no_generator_per_trial(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a per-trial generator was made")
+
+        monkeypatch.setattr(channel_module, "random", None)
+        monkeypatch.setattr(channel_module, "derive_trial_seed", refuse)
+        assert_uniform_matches_oracle(code_gcd(2, 10), 50, seed=3, t_cap=2)
 
 
 # Past a float (xi) and past int64 (runs); TestBatchedEndpoints covers a
