@@ -14,11 +14,13 @@ construction or pairwise checks.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Sequence, Union
+
+import numpy as np
 
 __all__ = [
     "INFINITY",
@@ -63,6 +65,9 @@ REGIMES = {
 #: Most input vectors enumerate_inputs builds.  The M=1024 builds need
 #: C(1024, 2) = 523 776; C(100000, 2) would take minutes and gigabytes.
 MAX_INPUTS = 2_000_000
+
+# Run values below this fit an int64 with room for the counts' subtractions.
+_INT64_LIMIT = 1 << 62
 
 Runs = tuple[int, ...]
 DriftRatio = Union[Fraction, float]
@@ -274,32 +279,41 @@ def _check_frame(k: int, m: int) -> None:
 def _run_vectors(k: int, m: int, alphabet: Sequence[int]) -> list[Runs]:
     """Vectors of k runs from a sorted alphabet holding 1, summing to <= m,
     in lexicographic order.  Raises ValueError past MAX_INPUTS, counting
-    each level before it is built."""
+    every level before any vector is built."""
     _check_frame(k, m)
-    # extend every prefix, in order, by each run that leaves a bin for each
-    # run still to come; each prefix carries the bins it has left, and has a
-    # completion (all later runs 1), so no level outnumbers the vectors
-    prefixes = [((), m)]
+    # each prefix extends, in order, by every run that leaves a bin for each
+    # run still to come, and has a completion (all later runs 1), so no level
+    # outnumbers the vectors; the counts need only the bins each prefix
+    # leaves, so every level is counted from those before a tuple exists
+    values = np.fromiter(alphabet, np.int64 if m < _INT64_LIMIT else object, len(alphabet))
+    left = np.array([m], dtype=values.dtype)
+    levels = []
     for later in range(k - 1, -1, -1):
-        ends = [bisect_right(alphabet, left - later) for _, left in prefixes]
-        count = sum(ends)
+        ends = np.searchsorted(values, left - later, side="right")
+        count = int(ends.sum())
         if count > MAX_INPUTS:
             raise ValueError(
                 f"k={k}, M={m} has {'>=' if later else '='} {count} inputs over "
                 f"{len(alphabet)} run values, more than the {MAX_INPUTS} that "
                 "can be enumerated"
             )
-        if not later:
-            return [
-                prefix + (r,)
-                for (prefix, _), end in zip(prefixes, ends)
-                for r in alphabet[:end]
-            ]
-        prefixes = [
-            (prefix + (r,), left - r)
-            for (prefix, left), end in zip(prefixes, ends)
-            for r in alphabet[:end]
-        ]
+        levels.append(ends.tolist())
+        if later:
+            # the bins each prefix of the next level leaves; a lone prefix
+            # (the empty one, always) extends by a slice of the alphabet
+            left = (
+                left[0] - values[:count] if len(left) == 1
+                else np.repeat(left, ends) - values[_block_offsets(ends)]
+            )
+    vectors = [()]
+    for ends in levels:
+        vectors = [v + (r,) for v, end in zip(vectors, ends) for r in alphabet[:end]]
+    return vectors
+
+
+def _block_offsets(sizes):
+    """0, 1, ..., size - 1 for each of the sizes in turn, as one array."""
+    return np.arange(int(np.sum(sizes))) - np.repeat(np.cumsum(sizes) - sizes, sizes)
 
 
 def gcd_of(runs: Sequence[int]) -> int:

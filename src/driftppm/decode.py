@@ -18,13 +18,22 @@ values go over one common denominator, the tolerance u/w is applied to the
 integer numerators, and one gcd brings all bounds to lowest common terms.
 
 Every decoder draws its candidates from one index: the codewords sorted by
-their first ratio x_2/x_1 as a float.  A consistent codeword's exact first
-ratio lies in [a_2*q/(b_1*p), b_2*p/(a_1*q)] for an observation [a, b] and
-jitter xi = p/q, so the candidates are the words whose float key lies in
-that window, widened by the margin stated in distinguish._MARGIN; without
-jitter an exact observation's window is one key wide.  With one run, or
-where runs or xi reach 2^53, every word is a candidate.  The decoders share
-only which words they look at: each decides membership exactly, on its own.
+their first ratio x_2/x_1 as a float.  A consistent codeword's exact ratio
+x_c/x_1 lies in [a_c*q/(b_1*p), b_c*p/(a_1*q)] for an observation [a, b]
+and jitter xi = p/q, so the candidates are the words whose float keys lie
+in those windows, widened by the margin stated in distinguish._MARGIN;
+without jitter an exact observation's window is one key wide.  With two
+runs the index is one sorted key, read as one range.  With three or more it
+windows x_3/x_1 too: the words sorted by first ratio are cut into cells, each
+at least one window of the codebook's own xi wide, and the words of a cell
+are sorted by x_3/x_1.  A window of the first ratio then spans at most two
+cells under the codebook's spec, more under a looser one, and every cell it
+spans is read over the range of x_3/x_1 ranks in the second window.  The
+cell of a key is one monotone function, the same for word keys and window
+ends, so every word in both float windows is read.  Ratios past the third
+are left to the exact tests.  With one run, or where runs or xi reach 2^53,
+every word is a candidate.  The decoders share only which words they look
+at: each decides membership exactly, on its own.
 
 A round-trip driver decodes many exact point observations of one codebook
 at once through Decoder.decode_points: the same exact predicates, evaluated
@@ -47,7 +56,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import REGIMES, ChannelSpec, Codebook, Runs
+from .core import REGIMES, ChannelSpec, Codebook, Runs, _block_offsets
 from .channel import ObservedSignal
 from .distinguish import _FLOAT_EXACT, _INT64_GUARD, _MARGIN, _window_pairs
 
@@ -130,6 +139,22 @@ def _normalize_signal(signal: ObservedSignal, tol):
     return [v // g for v in a], [v // g for v in b], lcm * w // g
 
 
+def _float_window(a, b, p, q, c):
+    """Float bounds (lo, hi) on the ratio x_{c+1}/x_1 of a codeword consistent
+    with the observation [a, b] under jitter p/q, each end one correctly
+    rounded int division, then widened by _MARGIN; None when the window lies
+    above every float."""
+    try:
+        lo = a[c] * q / (b[0] * p) / _MARGIN
+    except OverflowError:
+        return None
+    try:
+        hi = b[c] * p / (a[0] * q) * _MARGIN
+    except OverflowError:
+        hi = math.inf
+    return lo, hi
+
+
 class Decoder:
     """Per-codebook decode indexes; build once, query many times.
 
@@ -141,6 +166,7 @@ class Decoder:
         self.k = codebook.k
         self.regime = codebook.regime
         self.words = codebook.codewords
+        self._xi = codebook.spec.ints[:2]
 
     @property
     def codebook(self) -> Optional[Codebook]:
@@ -153,21 +179,28 @@ class Decoder:
         return self.k == 1 or self._top >= _FLOAT_EXACT or p >= q * _FLOAT_EXACT
 
     def _candidates(self, a, b, p, q):
-        """The codewords whose float first ratio lies in the window of the
-        observation [a, b]: a superset of the consistent codewords."""
+        """The codewords the index holds in the window of the observation
+        [a, b]: a superset of the consistent codewords."""
         if self._every_word(p, q):
             return self.words
-        keys, words = self._ratio_lists
-        # each end one correctly rounded int division, then widened
-        try:
-            lo = a[1] * q / (b[0] * p) / _MARGIN
-        except OverflowError:  # above every key
+        first = _float_window(a, b, p, q, 1)
+        if first is None:
             return ()
-        try:
-            hi = b[1] * p / (a[0] * q) * _MARGIN
-        except OverflowError:
-            hi = math.inf
-        return words[bisect_left(keys, lo):bisect_right(keys, hi)]
+        if self.k == 2:
+            keys, words = self._ratio_lists
+            return words[bisect_left(keys, first[0]):bisect_right(keys, first[1])]
+        third = _float_window(a, b, p, q, 2)
+        if third is None:
+            return ()
+        starts, thirds, keys, words = self._ratio_lists
+        lo, hi = bisect_left(thirds, third[0]), bisect_right(thirds, third[1])
+        out = []
+        if lo < hi:
+            n = len(words)
+            j0 = max(bisect_right(starts, first[0]) - 1, 0)
+            for cell in range(j0, bisect_right(starts, first[1])):
+                out += words[bisect_left(keys, cell * n + lo):bisect_left(keys, cell * n + hi)]
+        return out
 
     # -- general consistency decoding ------------------------------------
 
@@ -272,10 +305,11 @@ class Decoder:
 
         obs is an array of point_dtype, one row of k values per observation,
         each read as obs/d; (p, q, g, h) is ChannelSpec.ints.  Returns
-        (general, structured): per row, the index in self.words of the one
-        codeword that consistent_ints, and fast_ints, would return, or -1
-        when either would return none or several, or raise.  structured is
-        None for a regime without a structured decoder.
+        (general, structured, candidates): per row, the index in self.words
+        of the one codeword that consistent_ints, and fast_ints, would
+        return, or -1 when either would return none or several, or raise;
+        structured is None for a regime without a structured decoder.
+        candidates counts the (row, word) pairs sent to the exact tests.
         """
         rows = len(obs)
         structure = REGIMES[self.regime]
@@ -284,7 +318,11 @@ class Decoder:
         counts = np.zeros((2, rows), dtype=np.int64)
         found = np.full((2, rows), -1, dtype=np.int64)
         gpd, hq = g * p * d, h * q
-        for r, w in _window_pairs(*self._point_windows(a_cols, p, q)):
+        order, row, starts, ends = self._point_windows(a_cols, p, q)
+        candidates = 0
+        for s, w in _window_pairs(order, starts, ends):
+            r = row[s]
+            candidates += len(r)
             # both decoders test the first run's drift window, which most
             # candidates fail; the rest is tested on the survivors
             a, x = a_cols[0, r], x_cols[0, w]
@@ -299,15 +337,15 @@ class Decoder:
             if structure == "chain":
                 # _fast_chain: each ratio x_c/x_1 in its window
                 hits.append(pair[0].all(0) & pair[:, 0].all(0))
-            for s, hit in enumerate(hits):
-                counts[s] += np.bincount(r[hit], minlength=rows)
-                found[s, r[hit]] = w[hit]
+            for t, hit in enumerate(hits):
+                counts[t] += np.bincount(r[hit], minlength=rows)
+                found[t, r[hit]] = w[hit]
         unique = np.where(counts == 1, found, -1)
         if structure == "chain":
-            return unique[0], unique[1]
+            return unique[0], unique[1], candidates
         if structure == "alphabet":
-            return unique[0], self._alphabet_points(a_cols, d, p, q)
-        return unique[0], None
+            return unique[0], self._alphabet_points(a_cols, d, p, q), candidates
+        return unique[0], None, candidates
 
     @cached_property
     def _top(self):
@@ -320,28 +358,43 @@ class Decoder:
         return np.ascontiguousarray(words.reshape(len(self.words), self.k).T)
 
     def _point_windows(self, a_cols, p, q):
-        """(order, starts, ends): the candidates for observation r (column r
-        of a_cols) are the words order[starts[r]:ends[r]], a superset of
-        the words consistent with it."""
+        """(order, row, starts, ends): observation row[s] (a column of
+        a_cols) reads the words order[starts[s]:ends[s]].  The reads of one
+        observation hold no word twice, and together they hold every word
+        consistent with it."""
         n, rows = len(self.words), a_cols.shape[1]
+        every_row = np.arange(rows)
         if self.k > 1 and p == q:
             # a consistent codeword has the observation's primitive vector;
             # clipping its runs below base can only add candidates
             base, keys, order = self._primitive_keys
             key = _radix(np.minimum(_primitive_columns(a_cols), base - 1), base)
-            return order, np.searchsorted(keys, key), np.searchsorted(keys, key, side="right")
+            lo, hi = np.searchsorted(keys, key), np.searchsorted(keys, key, side="right")
+            return order, every_row, lo, hi
         if self._every_word(p, q):
-            return np.arange(n), np.zeros(rows, dtype=np.int64), np.full(rows, n)
-        keys, order = self._ratio_keys
-        # one correctly rounded division, of exact floats in int64 and of the
-        # Python ints themselves otherwise
-        ratio = (a_cols[1] / a_cols[0]).astype(float)
+            return np.arange(n), every_row, np.zeros(rows, dtype=np.int64), np.full(rows, n)
+        # each ratio one correctly rounded division, of exact floats in int64
+        # and of the Python ints themselves otherwise
         factor = p / q * _MARGIN
-        return (
-            order,
-            np.searchsorted(keys, ratio / factor),
-            np.searchsorted(keys, ratio * factor, side="right"),
-        )
+        first = (a_cols[1] / a_cols[0]).astype(float)
+        if self.k == 2:
+            keys, order = self._ratio_keys
+            lo = np.searchsorted(keys, first / factor)
+            return order, every_row, lo, np.searchsorted(keys, first * factor, side="right")
+        starts, thirds, keys, order = self._ratio_keys
+        third = (a_cols[2] / a_cols[0]).astype(float)
+        lo = np.searchsorted(thirds, third / factor)
+        hi = np.searchsorted(thirds, third * factor, side="right")
+        # row r reads cells j0[r] .. j0[r] + cells[r] - 1, none when no third
+        # ratio lies in its window
+        j0 = np.maximum(np.searchsorted(starts, first / factor, side="right") - 1, 0)
+        cells = np.searchsorted(starts, first * factor, side="right") - j0
+        cells[lo >= hi] = 0
+        row = np.repeat(every_row, cells)
+        # cell j's words with x_3/x_1 rank in [lo, hi) hold keys j*n+lo .. j*n+hi-1
+        base = (j0[row] + _block_offsets(cells)) * n
+        ends = np.searchsorted(keys, base + hi[row])
+        return order, row, np.searchsorted(keys, base + lo[row]), ends
 
     @cached_property
     def _primitive_keys(self):
@@ -354,17 +407,42 @@ class Decoder:
 
     @cached_property
     def _ratio_keys(self):
-        # (sorted float first ratios x_2/x_1, word order)
+        """The ratio index.  At k = 2: (keys, order), the words' float first
+        ratios x_2/x_1 sorted and the word order that sorts them.  At k >= 3:
+        (starts, thirds, keys, order).  The first ratios are cut into cells:
+        cell j holds those in [starts[j], starts[j+1]), and starts[j+1] is
+        the least first ratio of at least starts[j] * width, width being the
+        widest a point observation's window is under the codebook's own xi,
+        so such a window reads at most two cells.  thirds are the sorted
+        float ratios x_3/x_1, and the word order[i] has the key keys[i] =
+        cell * n + the rank of its x_3/x_1 in thirds, ascending."""
         x_cols = self._word_columns
-        keys = x_cols[1] / x_cols[0]
+        first = x_cols[1] / x_cols[0]
+        if self.k == 2:
+            order = np.argsort(first, kind="stable")
+            return first[order], order
+        p, q = self._xi
+        try:
+            width = (p / q * _MARGIN) ** 2
+        except OverflowError:  # one cell: no first ratio reaches past it
+            width = math.inf
+        ordered = np.sort(first).tolist()
+        starts, i = [], 0
+        while i < len(ordered):
+            starts.append(ordered[i])
+            i = bisect_left(ordered, ordered[i] * width, i + 1)
+        third = x_cols[2] / x_cols[0]
+        thirds = np.sort(third)
+        cell = np.searchsorted(starts, first, side="right") - 1
+        keys = cell * len(first) + np.searchsorted(thirds, third)
         order = np.argsort(keys, kind="stable")
-        return keys[order], order
+        return np.array(starts), thirds, keys[order], order
 
     @cached_property
     def _ratio_lists(self):
-        # _ratio_keys as lists, keys and words, for bisect
-        keys, order = self._ratio_keys
-        return keys.tolist(), [self.words[i] for i in order.tolist()]
+        # _ratio_keys as lists, for bisect, with the words in index order
+        *keys, order = self._ratio_keys
+        return (*(key.tolist() for key in keys), [self.words[i] for i in order.tolist()])
 
     @cached_property
     def _alphabet_keys(self):

@@ -142,9 +142,10 @@ _FLOAT_EXACT = 1 << 53
 # Relative margin on a float window end.  Three searches locate an exact
 # ratio window in floats: the pair scan, the batched point decoder and the
 # single-signal decoders.  Each runs only on runs below _FLOAT_EXACT and xi
-# below 2^53, so every word key x_2/x_1 is one correctly rounded division of
-# exact floats and lies in [2^-53, 2^53] (at k = 1 the pair scan's keys are
-# the runs themselves, and its factor gamma*xi is below 2^106).  A float window end is its exact
+# below 2^53, so every word key x_c/x_1 (the decoders read x_2/x_1 and, at
+# k >= 3, x_3/x_1) is one correctly rounded division of exact floats and lies
+# in [2^-53, 2^53] (at k = 1 the pair scan's keys are the runs themselves,
+# and its factor gamma*xi is below 2^106).  A float window end is its exact
 # value through at most four correctly rounded operations (a Python
 # int / int is one), so a key and an end carry at most five roundings
 # between them, each within a factor 1 -+ u of exact, u = 2^-53, while
@@ -155,7 +156,15 @@ _FLOAT_EXACT = 1 << 53
 # decoders read an end past the float range as no upper limit, or as no
 # candidate.  Rounding is monotone, so sorting by float keys keeps the exact
 # order up to ties, which share every window.  No word the exact window
-# holds is dropped.
+# holds is dropped.  The decoders' two-key index at k >= 3 reads, for each
+# observation, every cell of first ratios from the cell of its widened low
+# end to the cell of its widened high end, and in each cell the words whose
+# x_3/x_1 rank lies in the widened second window.  A word's cell and a window
+# end's cell are one monotone function of the float (the last cell start at
+# or below it), and a rank is a count of keys below, so a word whose keys lie
+# in both float windows lies in a cell that is read and in the rank range
+# read there: the candidates still hold every consistent word, whatever the
+# cells' width, and a looser decode spec only spans more cells.
 _MARGIN = 1 + 2.0**-32
 # Candidate pairs tested per batch, which bounds the kernel's memory.
 _BATCH = 1 << 13

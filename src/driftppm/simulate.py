@@ -46,7 +46,8 @@ class TrialReport:
     the dtype the batched trials were decoded in: "int64", or "scalar"
     (Python ints, where an int64 product could overflow; uniform trials
     always).  In endpoint mode ``corner_failures[i]`` counts the failures
-    under corner i.
+    under corner i.  ``candidates`` counts the (trial, codeword) pairs the
+    batched decoder sent to its exact tests.
     """
 
     trials: int = 0
@@ -54,6 +55,7 @@ class TrialReport:
     examples: list = field(default_factory=list)
     kernel: str = "scalar"
     corner_failures: list = field(default_factory=list)
+    candidates: int = 0
 
     _MAX_EXAMPLES = 10
 
@@ -96,7 +98,8 @@ def _run_batches(decoder, spec, trials, d, scale, batches, n_corners=0):
     per_corner = np.zeros(n_corners, dtype=np.int64)
     failed = []  # (word, factor row) of the first failed trials
     for word, factors, corner in batches(dtype):
-        general, structured = decoder.decode_points(runs[word] * factors, d, *ints)
+        general, structured, candidates = decoder.decode_points(runs[word] * factors, d, *ints)
+        report.candidates += candidates
         missed = (general != word).astype(np.int64)
         if structured is not None:
             missed += structured != word

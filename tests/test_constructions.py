@@ -1,4 +1,5 @@
 import math
+import time
 from bisect import bisect_right
 from fractions import Fraction as F
 from itertools import combinations
@@ -401,6 +402,15 @@ class TestSizeGuard:
         with pytest.raises(ValueError, match="k must be >= 1"):
             code_jitter(0, 10**8, 1)
         assert len(drawn) == 1001
+
+    def test_run_vectors_counted_before_a_prefix_is_built(self):
+        # exactly MAX_INPUTS chain values lie up to M - k + 1, so the chain
+        # guard passes; the second level is counted from the bins the 2 * 10^6
+        # one-run prefixes leave, before any of them is built
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=r"^k=2, M=2000001 has = 2000001000000 inputs over"):
+            code_jitter(2, 2_000_001, 1)
+        assert time.perf_counter() - start < 1
 
     def test_run_vectors_refused_level_by_level(self):
         # at xi = 1 every run is on the chain: the first level alone has

@@ -1,12 +1,15 @@
 import copy
+import functools
 import gc
 import math
+from bisect import bisect_left
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from driftppm.core import INFINITY, ChannelSpec, Codebook
+from driftppm.core import INFINITY, REGIMES, ChannelSpec, Codebook, enumerate_inputs
 from driftppm.channel import ChannelRealization, ObservedSignal, endpoint_realizations, transmit
 from driftppm.constructions import (
     code_bounded_drift,
@@ -29,6 +32,7 @@ from driftppm.decode import (
     _DECODER_CACHE,
     _normalize_signal,
 )
+from driftppm.distinguish import _MARGIN
 
 
 def exact(*values):
@@ -492,3 +496,141 @@ class TestFloatTolerance:
                 assert near
             except DecodeError:
                 pass
+
+
+def _general_scan(decoder, a, b, d, spec_ints):
+    """The words the general predicate accepts, testing every word."""
+    p, q, g, h = spec_ints
+    return [w for w in decoder.words if decoder._feasible(w, a, b, d, p, q, g * p * d, h * q)]
+
+
+def _structured_scan(book, a, b, d, spec_ints):
+    """fast_ints with every word a candidate; None where it raises."""
+    every = Decoder(book)
+    every._candidates = lambda *args: book.codewords
+    try:
+        return every.fast_ints(a, b, d, *spec_ints)
+    except AmbiguityError:
+        return None
+
+
+@functools.lru_cache(maxsize=None)
+def _window_book(kind, m, xi):
+    if kind == "jitter":
+        return code_jitter(3, m, xi)
+    if kind == "jitter-k4":
+        return code_jitter(4, m, xi)
+    return code_bounded_drift(3, m, F(7, 4))
+
+
+@st.composite
+def _two_key_books(draw):
+    kind = draw(st.sampled_from(["jitter", "jitter-k4", "bounded-drift", "custom"]))
+    xi = draw(st.sampled_from([F(21, 20), F(3, 2), F(2)]))
+    if kind == "custom":
+        m = draw(st.integers(6, 18))
+        words = draw(st.lists(st.sampled_from(enumerate_inputs(3, m)), min_size=1, max_size=60))
+        return Codebook.build(3, m, ChannelSpec(F(3, 2), F(7, 4)), "custom", words)
+    return _window_book(kind, draw(st.integers(4, 13 if kind == "jitter-k4" else 18)), xi)
+
+
+class TestTwoKeyWindow:
+    """At k >= 3 the ratio index reads cells of first ratios, each sorted by
+    x_3/x_1; every decoder that reads it returns what a scan of every word
+    returns, under specs stricter than, equal to and looser than the book's."""
+
+    @given(st.data())
+    @settings(max_examples=120, deadline=None)
+    def test_matches_every_word_scan(self, data):
+        book = data.draw(_two_key_books())
+        own = book.spec.xi
+        xi = data.draw(st.sampled_from([F(1), (1 + own) / 2, own, 2 * own + 1]))
+        gamma = data.draw(st.sampled_from([F(1), F(7, 4), F(4), INFINITY]))
+        spec = data.draw(st.sampled_from([book.spec, ChannelSpec(xi, gamma)]))
+        spec_ints = spec.ints
+        decoder = Decoder(book)
+        starts = set(decoder._ratio_keys[0].tolist())
+        at_starts = [w for w in book.codewords if w[1] / w[0] in starts]
+        t_hi = F(6) if spec.unbounded_drift else spec.gamma
+        unit = st.fractions(0, 1, max_denominator=16)
+        observations = []
+        for _ in range(data.draw(st.integers(1, 5))):
+            kind = data.draw(st.sampled_from(["corner", "interior", "edge", "random"]))
+            if kind == "random":
+                value = st.fractions(F(1, 4), 40, max_denominator=12)
+                observations.append([data.draw(value) for _ in range(book.k)])
+                continue
+            word = data.draw(st.sampled_from(at_starts if kind == "edge" else book.codewords))
+            if kind == "interior":
+                t = 1 + (t_hi - 1) * data.draw(unit)
+                z = [1 + (spec.xi - 1) * data.draw(unit) for _ in word]
+            else:
+                # every factor at an end of its range: the word's ratios sit
+                # on its own window's ends; at a cell start, nudged across them
+                t = data.draw(st.sampled_from([F(1), t_hi]))
+                z = [data.draw(st.sampled_from([F(1), spec.xi])) for _ in word]
+                if kind == "edge":
+                    nudge = F(data.draw(st.integers(-1, 1)), 10**9)
+                    z[data.draw(st.integers(0, book.k - 1))] *= 1 + nudge
+            observations.append([t * zi * x for zi, x in zip(z, word)])
+
+        d = math.lcm(*(v.denominator for values in observations for v in values))
+        rows = [[int(v * d) for v in values] for values in observations]
+        scans = [_general_scan(decoder, a, a, d, spec_ints) for a in rows]
+        dtype = decoder.point_dtype(max(map(max, rows)), d, *spec_ints)
+        if data.draw(st.booleans()):
+            dtype = object
+        obs = np.array(rows, dtype=dtype)
+        general, structured, candidates = decoder.decode_points(obs, d, *spec_ints)
+        index = {w: i for i, w in enumerate(book.codewords)}
+        assert general.tolist() == [index[s[0]] if len(s) == 1 else -1 for s in scans]
+        assert candidates >= sum(map(len, scans))
+        if structured is not None:
+            fast = [_structured_scan(book, a, a, d, spec_ints) for a in rows]
+            assert structured.tolist() == [index[f[0]] if f and len(f) == 1 else -1 for f in fast]
+
+        for values, scan in zip(observations, scans):
+            signal = exact(*values)
+            assert consistent_codewords(signal, book, spec) == scan
+            floats = signal.as_floats()
+            a, b, fd = _normalize_signal(floats, None)
+            float_scan = _general_scan(decoder, a, b, fd, spec_ints)
+            assert consistent_codewords(floats, book, spec) == float_scan
+            if REGIMES[book.regime] == "chain":
+                fast = _structured_scan(book, a, b, fd, spec_ints)
+                assert decoder.fast_ints(a, b, fd, *spec_ints) == fast
+
+    def test_cells_are_one_window_wide(self):
+        # each cell starts at the least first ratio at least a window past
+        # the start before it, so a window of the book's own xi reads at most
+        # two cells, and a looser xi reads more, every one of them
+        book = code_jitter(3, 16, F(21, 20))
+        decoder = Decoder(book)
+        starts, thirds, keys, order = decoder._ratio_keys
+        width = (21 / 20 * _MARGIN) ** 2
+        first = sorted(w[1] / w[0] for w in book.codewords)
+        assert starts[0] == first[0] and len(starts) > 10
+        for lo, hi in zip(starts, starts[1:]):
+            assert hi == first[bisect_left(first, lo * width)]
+        assert np.all(np.diff(keys) >= 0)
+        assert sorted(order.tolist()) == list(range(len(book)))
+        for xi, most in ((F(21, 20), 2), (F(2), None)):
+            spec_ints = ChannelSpec(xi, 1).ints
+            p, q = spec_ints[:2]
+            corners = [
+                [x * (p if c >> i & 1 else q) for i, x in enumerate(w)]
+                for w in book.codewords[::4] for c in range(8)
+            ]
+            # the ranges each observation reads, one per cell
+            _, row, _, _ = decoder._point_windows(np.array(corners).T, p, q)
+            cells = np.bincount(row, minlength=len(corners))
+            if most:
+                assert cells.max() <= most
+            else:
+                assert cells.max() > 2
+            general, _, _ = decoder.decode_points(np.array(corners), q, *spec_ints)
+            expected = [
+                s[0] if len(s) == 1 else None
+                for s in (_general_scan(decoder, a, a, q, spec_ints) for a in corners)
+            ]
+            assert [book.codewords[i] if i >= 0 else None for i in general.tolist()] == expected

@@ -395,6 +395,20 @@ class TestTrialCounts:
             run_uniform_roundtrips(code_gcd(2, 10), -3, seed=1, t_cap=2)
 
 
+def test_jitter_k3_candidates_per_trial():
+    # the acceptance grid's k=3 jitter books: the two-key ratio index sends
+    # a few words per trial to the exact tests, not every word whose first
+    # ratio is near (about 60 a trial with the first ratio alone)
+    trials = candidates = 0
+    for xi in (F(21, 20), F(3, 2), F(2)):
+        for m in range(4, 31):
+            report = run_endpoint_roundtrips(code_jitter(3, m, xi))
+            assert report.ok
+            trials += report.trials
+            candidates += report.candidates
+    assert candidates <= 5 * trials
+
+
 def test_every_construction_regime_is_cross_checked():
     # the round trips run the structured decoder on every tag that has one
     fast = {regime for regime, structure in REGIMES.items() if structure is not None}
