@@ -17,15 +17,12 @@ from .core import (
     as_ratio,
     enumerate_inputs,
     format_ratio,
-    gcd_of,
     parse_drift_ratio,
     parse_ratio,
     rate_bits,
-    ratio_vector,
 )
 from .distinguish import ConfusionGraph, confusion_graph, indistinguishable
 from .constructions import (
-    best_achievable_rate,
     code_bounded_drift,
     code_gcd,
     code_jitter,
@@ -33,7 +30,6 @@ from .constructions import (
     code_jitter_unbounded_drift,
     construct,
     geometric_multipliers,
-    multiples_chain,
     naive_rate,
     perfect_sync_code,
     ratio_set,
@@ -78,15 +74,12 @@ __all__ = [
     "as_ratio",
     "enumerate_inputs",
     "format_ratio",
-    "gcd_of",
     "parse_drift_ratio",
     "parse_ratio",
     "rate_bits",
-    "ratio_vector",
     "ConfusionGraph",
     "confusion_graph",
     "indistinguishable",
-    "best_achievable_rate",
     "code_bounded_drift",
     "code_gcd",
     "code_jitter",
@@ -94,7 +87,6 @@ __all__ = [
     "code_jitter_unbounded_drift",
     "construct",
     "geometric_multipliers",
-    "multiples_chain",
     "naive_rate",
     "perfect_sync_code",
     "ratio_set",

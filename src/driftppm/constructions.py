@@ -25,7 +25,7 @@ import math
 from bisect import bisect_right
 from fractions import Fraction
 from itertools import islice
-from typing import Iterator, Sequence
+from typing import Iterator
 
 from .core import (
     INFINITY,
@@ -33,28 +33,22 @@ from .core import (
     Codebook,
     MAX_INPUTS,
     EmptyDomainError,
-    RatioLike,
     Runs,
     UnsupportedRegimeError,
     _as_drift_ratio,
     _check_frame,
     _run_vectors,
-    as_ratio,
     enumerate_inputs,
-    gcd_of,
-    rate_bits,
 )
 
 __all__ = [
     "geometric_multipliers",
-    "multiples_chain",
     "code_gcd",
     "code_bounded_drift",
     "code_jitter",
     "ratio_set",
     "code_jitter_unbounded_drift",
     "code_jitter_bounded_drift",
-    "best_achievable_rate",
     "perfect_sync_code",
     "naive_rate",
     "construct",
@@ -92,22 +86,6 @@ def _multipliers(step, limit: int) -> Iterator[int]:
     num, den, d = step.numerator, step.denominator, 1
     while (d := num * d // den + 1) <= limit:
         yield d
-
-
-def multiples_chain(runs: Sequence[int], gamma, m: int) -> list[Runs]:
-    """Scaled copies d * runs that remain pairwise distinguishable under drift.
-
-    Requires gcd(runs) = 1 and sum(runs) <= m.  Consecutive multipliers differ
-    by a factor strictly greater than gamma, so no two copies can be mapped
-    onto each other by admissible drift factors.
-    """
-    runs = tuple(runs)
-    if gcd_of(runs) != 1:
-        raise ValueError(f"chain base must have gcd 1, got {runs}")
-    total = sum(runs)
-    if total > m:
-        raise ValueError(f"base {runs} does not fit in frame of {m}")
-    return [tuple(d * r for r in runs) for d in geometric_multipliers(gamma, m // total)]
 
 
 def _by_gcd(k: int, m: int, step) -> tuple[Runs, ...]:
@@ -232,12 +210,13 @@ def code_jitter_unbounded_drift(m: int, xi) -> Codebook:
 def code_jitter_bounded_drift(m: int, xi, gamma) -> Codebook:
     """Drift chains with step gamma*xi over the unbounded-drift code (two pulses).
 
-    The sorted union of multiples_chain(base, gamma*xi, m) over the bases,
-    the codewords of the unbounded-drift code.  Zero-error for jitter xi and
-    drift gamma, though not necessarily optimal: a single observed run can
-    move by a factor of gamma*xi, so multiples of a base codeword must be
-    separated by more than that.  The chain never looks at its limit, so
-    each base takes the prefix of one chain up to m that fits the frame.
+    The sorted union of d * base, d on geometric_multipliers(gamma*xi,
+    m // sum(base)), over the bases, the codewords of the unbounded-drift
+    code.  Zero-error for jitter xi and drift gamma, though not necessarily
+    optimal: a single observed run can move by a factor of gamma*xi, so
+    multiples of a base codeword must be separated by more than that.  The
+    chain never looks at its limit, so each base takes the prefix of one
+    chain up to m that fits the frame.
     """
     spec = ChannelSpec(xi, gamma)
     # a float inf when gamma is: the chain is [1], bases only
@@ -248,23 +227,6 @@ def code_jitter_bounded_drift(m: int, xi, gamma) -> Codebook:
         for c in chain[: bisect_right(chain, m // (x1 + x2))]
     )
     return Codebook.build(2, m, spec, "jitter-bounded-drift", words)
-
-
-def best_achievable_rate(m: int, xi, gamma, xi_grid: Sequence[RatioLike]) -> float:
-    """Best rate over codes built for jitter >= xi; all remain zero-error at xi.
-
-    The chained construction is not monotone in xi, so sweeping a grid of
-    larger jitter parameters and keeping the largest codebook tightens the
-    achievable rate.
-    """
-    xi = as_ratio(xi)
-    grid = [as_ratio(value) for value in xi_grid]
-    if not grid:
-        raise ValueError("empty xi grid")
-    below = [g for g in grid if g < xi]
-    if below:
-        raise ValueError(f"grid values below xi={xi}: {below}")
-    return max(rate_bits(code_jitter_bounded_drift(m, g, gamma)) for g in grid)
 
 
 def perfect_sync_code(k: int, m: int) -> Codebook:
@@ -309,23 +271,19 @@ def construct(k: int, m: int, xi, gamma, regime: str = AUTO_REGIME) -> Codebook:
             regime = "jitter-unbounded-drift"
         else:
             regime = "jitter-bounded-drift"
+    if regime in ("jitter-unbounded-drift", "jitter-bounded-drift") and k != 2:
+        raise UnsupportedRegimeError(_K2_ONLY_REASON)
+    if regime in ("bounded-drift", "jitter-bounded-drift") and spec.unbounded_drift:
+        raise UnsupportedRegimeError("drift chains need a finite gamma")
     if regime == "gcd":
         return code_gcd(k, m)
     if regime == "bounded-drift":
-        if gamma == INFINITY:
-            raise UnsupportedRegimeError("drift chains need a finite gamma")
         return code_bounded_drift(k, m, gamma)
     if regime == "jitter":
         return code_jitter(k, m, xi)
     if regime == "jitter-unbounded-drift":
-        if k != 2:
-            raise UnsupportedRegimeError(_K2_ONLY_REASON)
         return code_jitter_unbounded_drift(m, xi)
     if regime == "jitter-bounded-drift":
-        if k != 2:
-            raise UnsupportedRegimeError(_K2_ONLY_REASON)
-        if gamma == INFINITY:
-            raise UnsupportedRegimeError("drift chains need a finite gamma")
         return code_jitter_bounded_drift(m, xi, gamma)
     if regime == "perfect-sync":
         return perfect_sync_code(k, m)

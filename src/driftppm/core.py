@@ -40,8 +40,6 @@ __all__ = [
     "format_run_vector",
     "enumerate_inputs",
     "MAX_INPUTS",
-    "gcd_of",
-    "ratio_vector",
     "rate_bits",
 ]
 
@@ -66,8 +64,10 @@ REGIMES = {
 #: C(1024, 2) = 523 776; C(100000, 2) would take minutes and gigabytes.
 MAX_INPUTS = 2_000_000
 
-# Run values below this fit an int64 with room for the counts' subtractions.
-_INT64_LIMIT = 1 << 62
+# Integers below this fit an int64 with room to spare: the run values of
+# _run_vectors, and the products of the pair kernel and the decoders, which
+# past it run on Python ints.
+_INT64_GUARD = 1 << 62
 
 Runs = tuple[int, ...]
 DriftRatio = Union[Fraction, float]
@@ -285,7 +285,7 @@ def _run_vectors(k: int, m: int, alphabet: Sequence[int]) -> list[Runs]:
     # run still to come, and has a completion (all later runs 1), so no level
     # outnumbers the vectors; the counts need only the bins each prefix
     # leaves, so every level is counted from those before a tuple exists
-    values = np.fromiter(alphabet, np.int64 if m < _INT64_LIMIT else object, len(alphabet))
+    values = np.fromiter(alphabet, np.int64 if m < _INT64_GUARD else object, len(alphabet))
     left = np.array([m], dtype=values.dtype)
     levels = []
     for later in range(k - 1, -1, -1):
@@ -299,12 +299,8 @@ def _run_vectors(k: int, m: int, alphabet: Sequence[int]) -> list[Runs]:
             )
         levels.append(ends.tolist())
         if later:
-            # the bins each prefix of the next level leaves; a lone prefix
-            # (the empty one, always) extends by a slice of the alphabet
-            left = (
-                left[0] - values[:count] if len(left) == 1
-                else np.repeat(left, ends) - values[_block_offsets(ends)]
-            )
+            # the bins each prefix of the next level leaves
+            left = np.repeat(left, ends) - values[_block_offsets(ends)]
     vectors = [()]
     for ends in levels:
         vectors = [v + (r,) for v, end in zip(vectors, ends) for r in alphabet[:end]]
@@ -314,25 +310,6 @@ def _run_vectors(k: int, m: int, alphabet: Sequence[int]) -> list[Runs]:
 def _block_offsets(sizes):
     """0, 1, ..., size - 1 for each of the sizes in turn, as one array."""
     return np.arange(int(np.sum(sizes))) - np.repeat(np.cumsum(sizes) - sizes, sizes)
-
-
-def gcd_of(runs: Sequence[int]) -> int:
-    """Largest integer dividing every run."""
-    if not runs:
-        raise ValueError("empty run vector")
-    return math.gcd(*runs)
-
-
-def ratio_vector(runs: Sequence[int]) -> tuple[Fraction, ...]:
-    """Runs divided by the first run: (x_2/x_1, ..., x_k/x_1), each in lowest terms.
-
-    Invariant under integer scaling of the whole vector, hence under clock
-    drift; undefined for a single run.
-    """
-    if len(runs) < 2:
-        raise ValueError("ratio vector needs at least two runs")
-    first = runs[0]
-    return tuple(Fraction(r, first) for r in runs[1:])
 
 
 def rate_bits(codebook: Codebook) -> float:

@@ -56,9 +56,9 @@ from typing import Optional
 
 import numpy as np
 
-from .core import REGIMES, ChannelSpec, Codebook, Runs, _block_offsets
+from .core import _INT64_GUARD, REGIMES, ChannelSpec, Codebook, Runs, _block_offsets
 from .channel import ObservedSignal
-from .distinguish import _FLOAT_EXACT, _INT64_GUARD, _MARGIN, _window_pairs
+from .distinguish import _FLOAT_EXACT, _MARGIN, _window_pairs
 
 __all__ = [
     "DEFAULT_FLOAT_TOLERANCE",

@@ -34,7 +34,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import ChannelSpec, Runs
+from .core import _INT64_GUARD, ChannelSpec, Runs
 
 __all__ = ["indistinguishable", "confusion_graph", "ConfusionGraph"]
 
@@ -134,9 +134,6 @@ class PairScan:
         return list(zip(self.first.tolist(), self.second.tolist()))
 
 
-# int64 products in the pair kernel and the batched decoder stay below this;
-# past it they run on Python ints.
-_INT64_GUARD = 1 << 62
 # Integers below this convert to floats exactly.
 _FLOAT_EXACT = 1 << 53
 # Relative margin on a float window end.  Three searches locate an exact

@@ -13,9 +13,8 @@ from itertools import combinations
 
 import pytest
 
-from driftppm.core import INFINITY, ChannelSpec, enumerate_inputs, rate_bits, ratio_vector
+from driftppm.core import INFINITY, ChannelSpec, enumerate_inputs, rate_bits
 from driftppm.constructions import (
-    best_achievable_rate,
     code_bounded_drift,
     code_gcd,
     code_jitter,
@@ -27,6 +26,7 @@ from driftppm.constructions import (
 from driftppm.distinguish import confusion_graph, indistinguishable
 from driftppm.oracle import EXACT, max_independent_set, verify_zero_error
 from driftppm.simulate import run_endpoint_roundtrips, run_uniform_roundtrips
+from reference_constructions import best_achievable_rate, ratio_vector
 
 XIS = (F(1), F(21, 20), F(3, 2), F(2))
 GAMMAS = (F(1), F(3, 2), F(7, 4), F(4))

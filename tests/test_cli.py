@@ -9,6 +9,7 @@ from driftppm.cli import main
 from driftppm.codebook_io import dump_codebook, load_codebook
 from driftppm.constructions import code_bounded_drift
 from driftppm.core import INFINITY, ChannelSpec, Codebook, enumerate_inputs
+from reference_constructions import best_achievable_rate
 
 
 def run(capsys, *argv):
@@ -158,6 +159,25 @@ class TestSweep:
             assert code == 0
             by_value[tuple(grid)] = sorted(out.splitlines()[1:])
         assert by_value[tuple(values)] == by_value[tuple(permuted)]
+
+    @pytest.mark.parametrize("gamma", ["3/2", "7/4", "4"])
+    @pytest.mark.parametrize("m", [20, 65])
+    def test_best_column_is_the_reference_best_rate(self, capsys, m, gamma):
+        # each row's best rate is the best over the grid values >= its xi,
+        # whatever order the grid is given in
+        values = ["1", "101/100", "21/20", "11/10", "3/2", "2"]
+        shuffled = [values[i] for i in (3, 0, 5, 1, 4, 2)]
+        for grid in (values, values[::-1], shuffled):
+            code, out, _ = run(
+                capsys, "sweep", "--param", "xi", "--values", ",".join(grid),
+                "--k", "2", "--M", str(m), "--gamma", gamma,
+            )
+            assert code == 0
+            for line in out.splitlines()[1:]:
+                label, _, _, best = line.split(",")
+                tail = [v for v in values if F(v) >= F(label)]
+                expected = best_achievable_rate(m, label, gamma, tail)
+                assert best == f"{expected:.4f}", (grid, line)
 
     def test_byte_identical_reruns(self, capsys, tmp_path):
         paths = [tmp_path / "a.csv", tmp_path / "b.csv"]

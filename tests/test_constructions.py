@@ -14,11 +14,9 @@ from driftppm.core import (
     EmptyDomainError,
     UnsupportedRegimeError,
     enumerate_inputs,
-    gcd_of,
     rate_bits,
 )
 from driftppm.constructions import (
-    best_achievable_rate,
     code_bounded_drift,
     code_gcd,
     code_jitter,
@@ -26,13 +24,13 @@ from driftppm.constructions import (
     code_jitter_unbounded_drift,
     construct,
     geometric_multipliers,
-    multiples_chain,
     naive_rate,
     perfect_sync_code,
     ratio_set,
 )
 from driftppm.distinguish import indistinguishable
 from driftppm.oracle import optimal_code_bruteforce
+from reference_constructions import best_achievable_rate, gcd_of, multiples_chain
 
 
 def totient(n):

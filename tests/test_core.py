@@ -18,12 +18,11 @@ from driftppm.core import (
     as_ratio,
     enumerate_inputs,
     format_ratio,
-    gcd_of,
     parse_drift_ratio,
     parse_ratio,
     rate_bits,
-    ratio_vector,
 )
+from reference_constructions import gcd_of, ratio_vector
 
 
 def combination_inputs(k, m):

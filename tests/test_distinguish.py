@@ -5,13 +5,14 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from driftppm.constructions import construct
-from driftppm.core import INFINITY, REGIMES, ChannelSpec, enumerate_inputs, ratio_vector
+from driftppm.core import INFINITY, REGIMES, ChannelSpec, enumerate_inputs
 from driftppm import distinguish
 from driftppm.distinguish import (
     confusion_graph,
     indistinguishable,
     scan_pairs,
 )
+from reference_constructions import ratio_vector
 
 UNBOUNDED = ChannelSpec(1, INFINITY)
 
