@@ -5,17 +5,19 @@ jitter factor Z_i per run; the receiver observes Y_i = T * Z_i * x_i.  The
 channel is adversarial -- codes must survive *every* admissible realization --
 so the primary coverage tool is the set of 2^(k+1) corner realizations
 (each factor at its lower or upper bound); seeded uniform sampling fills in
-interior points.  Uniform factors lie on an exact 2^-53 grid; a round trip
-draws its grid indices, many trials at once, from a counter-based generator
-(SplitMix64 keyed on the seed), and sample_realization draws one realization
-from random.Random.
+interior points.
+
+Uniform trial t of a seed reads the k+2 outputs x_0..x_{k+1} of
+counter_draws under run_key(seed).  Its codeword is floor(x_0 * n / 2^64),
+each of the n within 2^-64 of probability 1/n, and the top _GRID_BITS bits
+of x_1 and x_{i+1} index T and Z_i on an exact 2^-_GRID_BITS rational grid.
+sample_realization is trial 0.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
@@ -37,7 +39,7 @@ __all__ = [
     "uniform_sampler",
 ]
 
-# 53-bit grid for uniform draws: exact rationals, float-dense coverage.
+# Bits of the uniform grid: exact rationals, float-dense coverage at 53.
 _GRID_BITS = 53
 
 
@@ -100,6 +102,10 @@ def transmit(runs: Sequence[int], realization: ChannelRealization) -> ObservedSi
 
 
 def _upper_drift(spec: ChannelSpec, t_cap) -> Fraction:
+    if t_cap is not None:
+        t_cap = as_ratio(t_cap)
+        if t_cap < 1:
+            raise ValueError(f"t_cap must be >= 1, got {t_cap}")
     if not spec.unbounded_drift:
         return spec.gamma
     if t_cap is None:
@@ -107,9 +113,6 @@ def _upper_drift(spec: ChannelSpec, t_cap) -> Fraction:
             "gamma is infinite: uniform sampling over T is undefined; "
             "use endpoints mode with a t_cap, or pass t_cap explicitly"
         )
-    t_cap = as_ratio(t_cap)
-    if t_cap < 1:
-        raise ValueError(f"t_cap must be >= 1, got {t_cap}")
     return t_cap
 
 
@@ -131,43 +134,44 @@ def counter_draws(key: int, first: int, count: int, slots: int) -> np.ndarray:
 
     Entry [r, j] is output (first + r) * slots + j, counted from 0, of
     SplitMix64 (Steele, Lea & Flood, OOPSLA 2014) seeded with key: the
-    state key + (counter + 1) * golden gamma, modulo 2^64, through its mix.
+    state key + (counter + 1) * golden gamma = counter * golden + (key +
+    golden), modulo 2^64, through its mix.
     Each entry is a function of (key, trial, slot) alone, so a batch is
     array arithmetic and no trial depends on the others.  Every operation
     is on arrays, whose uint64 arithmetic wraps without a warning.
     """
-    trial = np.arange(first, first + count, dtype=np.uint64)[:, None]
-    counter = trial * np.uint64(slots) + np.arange(slots, dtype=np.uint64)
-    z = (counter + np.uint64(1)) * np.uint64(0x9E3779B97F4A7C15) + np.uint64(key)
+    golden = 0x9E3779B97F4A7C15
+    counter = np.arange(first * slots, (first + count) * slots, dtype=np.uint64)
+    z = counter.reshape(count, slots) * np.uint64(golden) + np.uint64((key + golden) % 2**64)
     z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
     z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
     return z ^ (z >> np.uint64(31))
 
 
+def _grid_indices(x: np.ndarray) -> np.ndarray:
+    """Rows (u_T, u_Z1, ..., u_Zk) of uniform trials' draws x: slots 1..k+1's top bits."""
+    return x[:, 1:] >> np.uint64(64 - _GRID_BITS)
+
+
 def sample_realization(
     spec: ChannelSpec, k: int, seed: int, t_cap=None
 ) -> ChannelRealization:
-    """Draw one uniform realization.
-
-    T and each Z_i are independently uniform on their intervals, on an exact
-    2^-53 rational grid, reproducible from the seed: random.Random(seed)
-    draws the grid indices of T, Z_1, ..., Z_k in that order.
-    endpoint_realizations gives the corners.
-    """
+    """Draw one uniform realization, that of uniform trial 0 of seed: T and
+    each Z_i independently uniform on their intervals, on the exact grid.
+    endpoint_realizations gives the corners."""
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     td, t_point = _grid(_upper_drift(spec, t_cap))
     zd, z_point = _grid(spec.xi)
-    rng = random.Random(seed)
-    t = Fraction(t_point(rng.getrandbits(_GRID_BITS)), td)
-    z = tuple(Fraction(z_point(rng.getrandbits(_GRID_BITS)), zd) for _ in range(k))
-    return ChannelRealization(t, z)
+    ((u_t, *u_z),) = _grid_indices(counter_draws(run_key(seed), 0, 1, k + 2)).tolist()
+    t = Fraction(t_point(u_t), td)
+    return ChannelRealization(t, tuple(Fraction(z_point(u), zd) for u in u_z))
 
 
 def _grid(hi: Fraction):
-    """(den, point): grid index u in [0, 2^53) is the factor point(u)/den
-    = 1 + (hi - 1) * u/2^53 on [1, hi].  point maps ints, and numpy object
-    arrays of them elementwise."""
+    """(den, point): grid index u in [0, 2^_GRID_BITS) is the factor
+    point(u)/den = 1 + (hi - 1) * u/2^_GRID_BITS on [1, hi].  point maps
+    ints, and numpy object arrays of them elementwise."""
     den, step = hi.denominator << _GRID_BITS, hi.numerator - hi.denominator
     return den, lambda u: den + step * u
 
@@ -177,7 +181,7 @@ def uniform_sampler(spec: ChannelSpec, t_cap=None):
 
     Returns (d, top, factors): factors(u) maps grid indices to realizations,
     row by row, on a numpy object array of Python ints.  A row u = (u_T,
-    u_Z1, ..., u_Zk), each in [0, 2^53), is the realization with the grid
+    u_Z1, ..., u_Zk) of grid indices is the realization with the grid
     points T and Z_i that sample_realization would give for the same
     indices, as the row c with c_i = T * Z_i * d, so that a word x is
     observed as Y_i = c_i * x_i / d.  No c_i exceeds top.

@@ -28,7 +28,7 @@ from typing import Optional
 import numpy as np
 
 from .core import REGIMES, ChannelSpec, Codebook
-from .channel import counter_draws, endpoint_ints, run_key, uniform_sampler
+from .channel import _grid_indices, counter_draws, endpoint_ints, run_key, uniform_sampler
 from .decode import AmbiguityError, get_decoder
 
 __all__ = ["TrialReport", "DEFAULT_T_CAP", "run_endpoint_roundtrips", "run_uniform_roundtrips"]
@@ -166,23 +166,19 @@ def run_uniform_roundtrips(
     """Seeded uniform trials: random codeword, random interior realization.
 
     With unbounded drift, T is drawn from [1, t_cap] and t_cap is required.
-    Trial t reads the k+2 SplitMix64 outputs x_0..x_{k+1} that counter_draws
-    gives it under run_key(seed).  It sends codeword floor(x_0 * n / 2^64),
-    which gives each of the n codewords a probability within 2^-64 of 1/n (a
-    relative bias below n/2^64), and x_1 >> 11 and x_{i+1} >> 11 are the
-    2^-53 grid indices of T and Z_i.
+    The channel module's docstring gives the draws of trial t.
     """
     _check_trials(trials)
     spec, decoder = _trial_decoder(codebook, spec)
     d, scale, factors = uniform_sampler(spec, t_cap)
-    key, n, slots = run_key(seed), len(decoder.words), codebook.k + 2
+    key, n = run_key(seed), len(decoder.words)
 
     def batches(dtype):
         for first in range(0, trials, _ROWS):
-            x = counter_draws(key, first, min(_ROWS, trials - first), slots)
+            x = counter_draws(key, first, min(_ROWS, trials - first), codebook.k + 2)
             word = (x[:, 0].astype(object) * n >> 64).astype(np.intp)
-            # the top 53 bits: 2^-53 grid indices, whose products need Python ints
-            grid = (x[:, 1:] >> np.uint64(11)).astype(object)
+            # the grid's products need Python ints
+            grid = _grid_indices(x).astype(object)
             yield word, factors(grid).astype(dtype, copy=False), None
 
     return _run_batches(decoder, spec, trials, d, scale, batches)

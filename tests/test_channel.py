@@ -1,5 +1,4 @@
 import math
-import random
 from fractions import Fraction as F
 
 import numpy as np
@@ -10,6 +9,7 @@ from driftppm.core import INFINITY, ChannelSpec
 from driftppm.channel import (
     ChannelRealization,
     ObservedSignal,
+    _grid_indices,
     counter_draws,
     derive_trial_seed,
     endpoint_ints,
@@ -175,7 +175,7 @@ class TestCounterDraws:
         d, top, factors = uniform_sampler(spec, t_cap)
         for trial in self.TRIALS:
             x = counter_draws(run_key(seed), trial, 1, k + 2)
-            (row,) = factors((x[:, 1:] >> np.uint64(11)).astype(object)).tolist()
+            (row,) = factors(_grid_indices(x).astype(object)).tolist()
             _, (u_t, *u_z) = uniform_trial(seed, trial, 1, k)
             t = 1 + (t_cap - 1) * F(u_t, 1 << 53)
             z = [1 + (spec.xi - 1) * F(u, 1 << 53) for u in u_z]
@@ -195,9 +195,9 @@ class TestIntegerRealizations:
         spec = ChannelSpec(xi, gamma)
         t_cap = F(13, 2)
         hi_t = t_cap if gamma == INFINITY else gamma
-        # the grid indices that sample_realization draws from random.Random(seed)
-        rng = random.Random(seed)
-        u = [rng.getrandbits(53) for _ in range(k + 1)]
+        # sample_realization is trial 0 of the uniform round trips of seed
+        words = [tuple(range(j + 1, j + k + 1)) for j in range(5)]
+        pick, u = uniform_trial(seed, 0, len(words), k)
         d, top, factors = uniform_sampler(spec, t_cap)
         (c,) = factors(np.array([u], dtype=object)).tolist()
         assert max(c) <= top
@@ -205,6 +205,9 @@ class TestIntegerRealizations:
         assert [F(ci, d) for ci in c] == [t * zi for zi in z]
         r = sample_realization(spec, k, seed, t_cap=t_cap)
         assert (r.t, r.z) == (t, tuple(z))
+        # trial 0 observes factors[0] * word / d
+        word = words[pick]
+        assert transmit(word, r).values == tuple(F(ci * x, d) for ci, x in zip(c, word))
 
     def test_endpoint_ints_match_realizations(self):
         for spec, t_cap in (

@@ -255,11 +255,15 @@ class TestSimulate:
     def test_missing_file_exits_1(self, capsys):
         assert run(capsys, "simulate", "--code", "/nonexistent.code")[0] == 1
 
-    @pytest.mark.parametrize("mode", ["endpoints", "uniform"])
-    def test_cap_below_one_exits_1(self, capsys, tmp_path, mode):
+    @pytest.mark.parametrize(
+        "mode, gamma",
+        [("endpoints", "inf"), ("uniform", "inf"), ("endpoints", "7/4"), ("uniform", "7/4")],
+        ids=["endpoints", "uniform", "endpoints-finite-gamma", "uniform-finite-gamma"],
+    )
+    def test_cap_below_one_exits_1(self, capsys, tmp_path, mode, gamma):
         path = tmp_path / "book.code"
         assert run(capsys, "construct", "--k", "2", "--M", "10", "--xi", "1",
-                   "--gamma", "inf", "--out", str(path))[0] == 0
+                   "--gamma", gamma, "--out", str(path))[0] == 0
         code, out, err = run(capsys, "simulate", "--code", str(path), "--mode", mode,
                              "--trials", "20", "--t-cap", "1/2")
         assert (code, out) == (1, "")

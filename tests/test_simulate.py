@@ -327,9 +327,20 @@ class TestBatchedUniform:
         def refuse(*args):
             raise AssertionError("a per-trial generator was made")
 
-        monkeypatch.setattr(channel_module, "random", None)
+        assert not hasattr(channel_module, "random")
         monkeypatch.setattr(channel_module, "derive_trial_seed", refuse)
         assert_uniform_matches_oracle(code_gcd(2, 10), 50, seed=3, t_cap=2)
+        channel_module.sample_realization(ChannelSpec(2, INFINITY), 2, 3, t_cap=2)
+
+    def test_grid_is_one_constant(self, monkeypatch):
+        # a 2^-20 grid puts the headline book's products in int64
+        monkeypatch.setattr(channel_module, "_GRID_BITS", 20)
+        spec = ChannelSpec(1, F(7, 4))
+        report = run_uniform_roundtrips(code_bounded_drift(2, 65, spec.gamma), 2000, seed=6)
+        assert report.failures == 0 and report.kernel == "int64"
+        for seed in range(20):
+            u = (channel_module.sample_realization(spec, 2, seed).t - 1) / (spec.gamma - 1) * 2**20
+            assert u.denominator == 1 and 0 <= u < 2**20
 
 
 # Past a float (xi) and past int64 (runs); TestBatchedEndpoints covers a
