@@ -203,6 +203,8 @@ def _corners(k: int) -> Iterator[tuple[int, tuple[int, ...]]]:
 
     Bit 0 of the index selects T low/high and bit i selects Z_i.
     """
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
     for index in range(1 << (k + 1)):
         yield index & 1, tuple(index >> i & 1 for i in range(1, k + 1))
 

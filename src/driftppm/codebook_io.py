@@ -51,6 +51,8 @@ def loads_codebook(text: str) -> Codebook:
         key, sep, value = token.partition("=")
         if not sep or key not in _HEADER_FIELDS:
             raise ValueError(f"bad header token {token!r}")
+        if key in fields:
+            raise ValueError(f"duplicate header field {key!r}")
         fields[key] = value
     missing = [f for f in _HEADER_FIELDS if f not in fields]
     if missing:

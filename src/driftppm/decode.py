@@ -17,29 +17,33 @@ float is taken at its exact binary value (float.as_integer_ratio), the
 values go over one common denominator, the tolerance u/w is applied to the
 integer numerators, and one gcd brings all bounds to lowest common terms.
 
-Every decoder draws its candidates from one index: the codewords sorted by
-their first ratio x_2/x_1 as a float.  A consistent codeword's exact ratio
-x_c/x_1 lies in [a_c*q/(b_1*p), b_c*p/(a_1*q)] for an observation [a, b]
-and jitter xi = p/q, so the candidates are the words whose float keys lie
-in those windows, widened by the margin stated in distinguish._MARGIN;
-without jitter an exact observation's window is one key wide.  With two
-runs the index is one sorted key, read as one range.  With three or more it
-windows x_3/x_1 too: the words sorted by first ratio are cut into cells, each
-at least one window of the codebook's own xi wide, and the words of a cell
-are sorted by x_3/x_1.  A window of the first ratio then spans at most two
-cells under the codebook's spec, more under a looser one, and every cell it
-spans is read over the range of x_3/x_1 ranks in the second window.  The
-cell of a key is one monotone function, the same for word keys and window
-ends, so every word in both float windows is read.  Ratios past the third
-are left to the exact tests.  With one run, or where runs or xi reach 2^53,
-every word is a candidate.  The decoders share only which words they look
-at: each decides membership exactly, on its own.
+Every decoder but the scalar alphabet one draws its candidates from one
+index: the codewords sorted by their first ratio x_2/x_1 as a float.  A
+consistent codeword's exact ratio x_c/x_1 lies in [a_c*q/(b_1*p),
+b_c*p/(a_1*q)] for an observation [a, b] and jitter xi = p/q, so the
+candidates are the words whose float keys lie in those windows, widened by
+the margin stated in distinguish._MARGIN; without jitter an exact
+observation's window is one key wide.  With two runs the index is one sorted
+key, read as one range.  With three or more it windows x_3/x_1 too: the
+words sorted by first ratio are cut into cells, each at least one window of
+the codebook's own xi wide, and the words of a cell are sorted by x_3/x_1.
+A window of the first ratio then spans at most two cells under the
+codebook's spec, more under a looser one, and every cell it spans is read
+over the range of x_3/x_1 ranks in the second window.  The cell of a key is
+one monotone function, the same for word keys and window ends, so every word
+in both float windows is read.  Ratios past the third are left to the exact
+tests.  With one run, or where runs or xi reach 2^53, every word is a
+candidate.  The decoders share only which words they look at: each decides
+membership exactly, on its own.  The scalar alphabet decoder looks each run
+up in the sorted run values instead.
 
 A round-trip driver decodes many exact point observations of one codebook
 at once through Decoder.decode_points: the same exact predicates, evaluated
 as int64 arrays where every product fits and as arrays of Python ints
-(dtype object) otherwise.  Without jitter it finds each observation's words
-by an integer key of its primitive vector x / gcd(x) instead.
+(dtype object) otherwise.  Its general, chain and alphabet decoders all
+test the candidates of the one window; without jitter that window is the
+words sharing the observation's primitive vector x / gcd(x), found by an
+integer key.
 
 Out-of-spec signals raise NoCodewordError -- a receiver-side convention, not
 a channel-model claim; ambiguity always raises, never tie-breaks.
@@ -111,8 +115,9 @@ def _normalize_signal(signal: ObservedSignal, tol):
     """Observation as integer bounds: value_i in [a_i, b_i] / d, with d the
     lcm of the bounds' reduced denominators.
 
-    Exact signals give point intervals; float signals are converted to their
-    exact binary values and widened by the relative tolerance, in integers.
+    Every value is read exactly, a float at its binary value.  Float
+    signals are widened by the relative tolerance, in integers; exact
+    signals, with tolerance 0, give point intervals.
     """
     try:
         u, w = (DEFAULT_FLOAT_TOLERANCE if tol is None else Fraction(tol)).as_integer_ratio()
@@ -121,9 +126,7 @@ def _normalize_signal(signal: ObservedSignal, tol):
     if not 0 <= u < w:
         raise ValueError(f"tolerance must lie in [0, 1), got {tol}")
     if signal.exact:
-        d = math.lcm(*(v.denominator for v in signal.values))
-        a = [v.numerator * (d // v.denominator) for v in signal.values]
-        return a, a, d
+        u, w = 0, 1
     # Each value is num/den exactly; over the lcm L of the den it is s_i/L,
     # and its bounds are s_i*(w -+ u) / (L*w).  Dividing a, b and L*w by
     # their gcd leaves d equal to the lcm of the bounds' reduced denominators:
@@ -240,8 +243,8 @@ class Decoder:
 
     @cached_property
     def _alphabet(self):
-        # (sorted run values, set of codewords)
-        return sorted({run for w in self.words for run in w}), set(self.words)
+        # the sorted run values
+        return sorted({run for w in self.words for run in w})
 
     def fast_ints(self, a, b, d, p, q, g, h) -> list[Runs]:
         """Structured decode; returns the list of matches (want exactly one)."""
@@ -272,7 +275,7 @@ class Decoder:
 
     def _fast_alphabet(self, a, b, d, p, q):
         # no drift: each run decodes on its own window [l, xi*l]
-        alphabet, wordset = self._alphabet
+        alphabet = self._alphabet
         runs = []
         for i in range(self.k):
             # every run is an integer: p*d*l >= a_i*q and d*l <= b_i
@@ -286,7 +289,8 @@ class Decoder:
                 )
             runs.append(alphabet[i0])
         word = tuple(runs)
-        return [word] if word in wordset else []
+        i = bisect_left(self.words, word)  # the codewords strictly ascend
+        return [word] if self.words[i:i + 1] == (word,) else []
 
     # -- batched point decoding --------------------------------------------
 
@@ -309,7 +313,7 @@ class Decoder:
         of the one codeword that consistent_ints, and fast_ints, would
         return, or -1 when either would return none or several, or raise;
         structured is None for a regime without a structured decoder.
-        candidates counts the (row, word) pairs sent to the exact tests.
+        candidates counts the (row, word) pairs that every decoder tests.
         """
         rows = len(obs)
         structure = REGIMES[self.regime]
@@ -318,13 +322,19 @@ class Decoder:
         counts = np.zeros((2, rows), dtype=np.int64)
         found = np.full((2, rows), -1, dtype=np.int64)
         gpd, hq = g * p * d, h * q
+        if structure == "alphabet":
+            # _fast_alphabet: the rows whose every run window [a_i*q/(p*d),
+            # a_i/d] holds exactly one alphabet value
+            alphabet = np.array(self._alphabet, dtype=obs.dtype)
+            lo = np.searchsorted(alphabet, -(-a_cols * q // (p * d)))
+            single = (np.searchsorted(alphabet, a_cols // d, side="right") - lo == 1).all(0)
         order, row, starts, ends = self._point_windows(a_cols, p, q)
         candidates = 0
         for s, w in _window_pairs(order, starts, ends):
             r = row[s]
             candidates += len(r)
-            # both decoders test the first run's drift window, which most
-            # candidates fail; the rest is tested on the survivors
+            # every decoder's match lies in the first run's drift window,
+            # which most candidates fail; the rest is tested on the survivors
             a, x = a_cols[0, r], x_cols[0, w]
             keep = (d * x <= a) & (a * hq <= gpd * x)
             r, w = r[keep], w[keep]
@@ -337,15 +347,16 @@ class Decoder:
             if structure == "chain":
                 # _fast_chain: each ratio x_c/x_1 in its window
                 hits.append(pair[0].all(0) & pair[:, 0].all(0))
+            elif structure == "alphabet":
+                # _fast_alphabet: every run in its window, so every ratio in
+                # its window and, as gamma >= 1, the first run in its drift
+                # window; at most one word passes in a single row
+                hits.append(single[r] & ((d * x <= a) & (a * q <= p * d * x)).all(0))
             for t, hit in enumerate(hits):
                 counts[t] += np.bincount(r[hit], minlength=rows)
                 found[t, r[hit]] = w[hit]
         unique = np.where(counts == 1, found, -1)
-        if structure == "chain":
-            return unique[0], unique[1], candidates
-        if structure == "alphabet":
-            return unique[0], self._alphabet_points(a_cols, d, p, q), candidates
-        return unique[0], None, candidates
+        return unique[0], None if structure is None else unique[1], candidates
 
     @cached_property
     def _top(self):
@@ -443,24 +454,6 @@ class Decoder:
         # _ratio_keys as lists, for bisect, with the words in index order
         *keys, order = self._ratio_keys
         return (*(key.tolist() for key in keys), [self.words[i] for i in order.tolist()])
-
-    @cached_property
-    def _alphabet_keys(self):
-        # (alphabet, word keys); codewords ascend, and so do their keys
-        x_cols = self._word_columns
-        alphabet = np.array(self._alphabet[0], dtype=x_cols.dtype)
-        keys = _radix(np.searchsorted(alphabet, x_cols), len(alphabet) + 1)
-        return alphabet, keys
-
-    def _alphabet_points(self, a_cols, d, p, q):
-        # _fast_alphabet: run i must match one alphabet value l, with
-        # p*d*l >= a_i*q and d*l <= a_i, and the runs must form a codeword
-        alphabet, keys = self._alphabet_keys
-        lo = np.searchsorted(alphabet, -(-a_cols * q // (p * d)))
-        hi = np.searchsorted(alphabet, a_cols // d, side="right")
-        key = _radix(lo, len(alphabet) + 1)
-        at = np.minimum(np.searchsorted(keys, key), len(keys) - 1)
-        return np.where((hi - lo == 1).all(0) & (keys[at] == key), at, -1)
 
 
 _DECODER_CACHE: dict = {}

@@ -95,6 +95,13 @@ class TestEndpoints:
         corners = list(endpoint_realizations(spec, 3))
         assert len(corners) == 16 == len(set(corners))
 
+    def test_zero_runs_refused(self):
+        spec = ChannelSpec(2, F(7, 4))
+        with pytest.raises(ValueError, match="^k must be >= 1, got 0$"):
+            list(endpoint_realizations(spec, 0))
+        with pytest.raises(ValueError, match="^k must be >= 1, got 0$"):
+            endpoint_ints(spec, 0)
+
     def test_unbounded_drift_needs_cap(self):
         spec = ChannelSpec(1, INFINITY)
         with pytest.raises(ValueError):

@@ -339,6 +339,12 @@ class TestVerify:
         assert "indistinguishable: 1 1 | 2 2" in out
         assert "violations=1" in out
 
+    def test_repeated_header_field_exits_1(self, capsys, tmp_path):
+        path = tmp_path / "dup.code"
+        path.write_text("k=2 M=5 xi=1 gamma=1 regime=custom M=6\n1 1\n")
+        code, out, err = run(capsys, "verify", "--code", str(path))
+        assert (code, out, err) == (1, "", "error: duplicate header field 'M'\n")
+
     def test_spec_override_flags(self, capsys, tmp_path):
         path = tmp_path / "book.code"
         assert run(capsys, "construct", "--k", "2", "--M", "12", "--xi", "2",

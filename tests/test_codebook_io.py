@@ -82,6 +82,13 @@ def test_load_rejects_missing_header_field():
         loads_codebook("k=2 M=5 xi=1 regime=custom\n1 1\n")
 
 
+def test_load_rejects_repeated_header_field():
+    with pytest.raises(ValueError, match="^duplicate header field 'k'$"):
+        loads_codebook("k=3 M=5 xi=1 gamma=inf regime=gcd k=2\n1 2\n")
+    with pytest.raises(ValueError, match="^duplicate header field 'M'$"):
+        loads_codebook("k=2 M=5 xi=1 gamma=1 regime=custom M=6\n1 1\n")
+
+
 def test_load_rejects_empty():
     with pytest.raises(ValueError):
         loads_codebook("")

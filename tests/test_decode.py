@@ -110,6 +110,18 @@ class TestDecodeFast:
         assert y.values == (3, 6)
         assert decode_fast(y, cb) == (3, 3) == decode(y, cb)
 
+    def test_alphabet_runs_off_the_book(self):
+        # each run is an alphabet value, but the word they form is no codeword
+        cb = code_jitter(2, 30, F(3, 2))
+        top = max(map(max, cb.codewords))
+        assert (top, top) not in cb
+        with pytest.raises(NoCodewordError):
+            decode_fast(exact(top, top), cb)
+        general, structured, _ = get_decoder(cb).decode_points(
+            np.array([[top, top]]), 1, *cb.spec.ints
+        )
+        assert (general.tolist(), structured.tolist()) == ([-1], [-1])
+
     def test_ratio_interval_lookup(self):
         cb = code_jitter_unbounded_drift(65, F(3, 2))
         for word in cb.codewords:
@@ -192,6 +204,14 @@ class TestFloatMode:
                 decode_fn(y, BD65, tol=tol)
         with pytest.raises(ValueError, match="^tolerance must lie in"):
             _normalize_signal(exact(3, 5), tol)
+
+    @pytest.mark.parametrize(
+        "decode_fn, expected",
+        [(decode, (3, 5)), (decode_fast, (3, 5)), (consistent_codewords, [(3, 5)])],
+    )
+    def test_exact_signal_holding_floats(self, decode_fn, expected):
+        # an exact signal is read at its values' exact binary values
+        assert decode_fn(ObservedSignal((3.0, 5.0), True), BD65) == expected
 
     def test_nan_tolerance_refused(self):
         with pytest.raises(ValueError):
