@@ -41,9 +41,10 @@ A round-trip driver decodes many exact point observations of one codebook
 at once through Decoder.decode_points: the same exact predicates, evaluated
 as int64 arrays where every product fits and as arrays of Python ints
 (dtype object) otherwise.  Its general, chain and alphabet decoders all
-test the candidates of the one window; without jitter that window is the
-words sharing the observation's primitive vector x / gcd(x), found by an
-integer key.
+test the candidates of the one window.  Without jitter a consistent word's
+float keys are the observation's own, so at k >= 3 the window is read
+exactly: the one cell of the observation's first key, at the rank of its
+x_3/x_1 key.
 
 Out-of-spec signals raise NoCodewordError -- a receiver-side convention, not
 a channel-model claim; ambiguity always raises, never tie-breaks.
@@ -96,21 +97,6 @@ class AmbiguityError(DecodeError):
         self.candidates = tuple(candidates)
 
 
-def _primitive_columns(cols):
-    """Each column of a positive integer array divided by its gcd."""
-    return cols // np.gcd.reduce(cols, axis=0)
-
-
-def _radix(digits, base):
-    """Each column of digits below base as one integer, in the columns'
-    lexicographic order: int64 when every key fits, else Python ints."""
-    digits = digits.astype(np.int64 if base ** len(digits) < _INT64_GUARD else object)
-    key = np.zeros(digits.shape[1], dtype=digits.dtype)
-    for row in digits:
-        key = key * base + row
-    return key
-
-
 def _normalize_signal(signal: ObservedSignal, tol):
     """Observation as integer bounds: value_i in [a_i, b_i] / d, with d the
     lcm of the bounds' reduced denominators.
@@ -121,7 +107,7 @@ def _normalize_signal(signal: ObservedSignal, tol):
     """
     try:
         u, w = (DEFAULT_FLOAT_TOLERANCE if tol is None else Fraction(tol)).as_integer_ratio()
-    except OverflowError:  # an infinite float: out of range like any tol >= 1
+    except (OverflowError, ValueError):  # an infinite or NaN float: out of range
         u = w = 1
     if not 0 <= u < w:
         raise ValueError(f"tolerance must lie in [0, 1), got {tol}")
@@ -372,16 +358,11 @@ class Decoder:
         """(order, row, starts, ends): observation row[s] (a column of
         a_cols) reads the words order[starts[s]:ends[s]].  The reads of one
         observation hold no word twice, and together they hold every word
-        consistent with it."""
+        consistent with it.  Without jitter they are the words whose keys
+        equal the observation's: at k = 2 the one-key window, at k >= 3 one
+        cell at one x_3/x_1 rank."""
         n, rows = len(self.words), a_cols.shape[1]
         every_row = np.arange(rows)
-        if self.k > 1 and p == q:
-            # a consistent codeword has the observation's primitive vector;
-            # clipping its runs below base can only add candidates
-            base, keys, order = self._primitive_keys
-            key = _radix(np.minimum(_primitive_columns(a_cols), base - 1), base)
-            lo, hi = np.searchsorted(keys, key), np.searchsorted(keys, key, side="right")
-            return order, every_row, lo, hi
         if self._every_word(p, q):
             return np.arange(n), every_row, np.zeros(rows, dtype=np.int64), np.full(rows, n)
         # each ratio one correctly rounded division, of exact floats in int64
@@ -394,6 +375,15 @@ class Decoder:
             return order, every_row, lo, np.searchsorted(keys, first * factor, side="right")
         starts, thirds, keys, order = self._ratio_keys
         third = (a_cols[2] / a_cols[0]).astype(float)
+        if p == q:
+            # without jitter a consistent word's ratios are the observation's,
+            # each key the correctly rounded quotient of the same rational:
+            # read that key's one cell, at that x_3/x_1 rank (a first key
+            # below every cell start gives a negative key, which no word has)
+            cell = np.searchsorted(starts, first, side="right") - 1
+            key = cell * n + np.searchsorted(thirds, third)
+            lo = np.searchsorted(keys, key)
+            return order, every_row, lo, np.searchsorted(keys, key, side="right")
         lo = np.searchsorted(thirds, third / factor)
         hi = np.searchsorted(thirds, third * factor, side="right")
         # row r reads cells j0[r] .. j0[r] + cells[r] - 1, none when no third
@@ -406,15 +396,6 @@ class Decoder:
         base = (j0[row] + _block_offsets(cells)) * n
         ends = np.searchsorted(keys, base + hi[row])
         return order, row, np.searchsorted(keys, base + lo[row]), ends
-
-    @cached_property
-    def _primitive_keys(self):
-        # (base, sorted keys, word order): every primitive run is below base
-        prim = _primitive_columns(self._word_columns)
-        base = int(prim.max()) + 1
-        keys = _radix(prim, base)
-        order = np.argsort(keys, kind="stable")
-        return base, keys[order], order
 
     @cached_property
     def _ratio_keys(self):

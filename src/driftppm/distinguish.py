@@ -161,7 +161,14 @@ _FLOAT_EXACT = 1 << 53
 # or below it), and a rank is a count of keys below, so a word whose keys lie
 # in both float windows lies in a cell that is read and in the rank range
 # read there: the candidates still hold every consistent word, whatever the
-# cells' width, and a looser decode spec only spans more cells.
+# cells' width, and a looser decode spec only spans more cells.  Without
+# jitter the batched decoder reads its point observations with no margin: a
+# consistent word has a = T*d*x, so a_c/a_1 = x_c/x_1 as rationals, and the
+# observation's keys are correctly rounded quotients too (an int64 point
+# observation is below 2^53, a Python one is divided as ints).  The word's
+# keys are then the observation's floats, so it lies in the same cell at the
+# same x_3/x_1 rank, the one read; distinct ratios that round to one float
+# share a key and are both read, and the exact tests tell them apart.
 _MARGIN = 1 + 2.0**-32
 # Candidate pairs tested per batch, which bounds the kernel's memory.
 _BATCH = 1 << 13

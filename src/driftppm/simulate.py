@@ -73,6 +73,8 @@ _ROWS = 1 << 10
 
 
 def _check_trials(trials):
+    if isinstance(trials, bool) or not isinstance(trials, int):
+        raise TypeError(f"trials must be an int, got {trials!r}")
     if trials < 0:
         raise ValueError(f"trials must be non-negative, got {trials}")
 

@@ -10,7 +10,13 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from driftppm.core import INFINITY, REGIMES, ChannelSpec, Codebook, enumerate_inputs
-from driftppm.channel import ChannelRealization, ObservedSignal, endpoint_realizations, transmit
+from driftppm.channel import (
+    ChannelRealization,
+    ObservedSignal,
+    endpoint_ints,
+    endpoint_realizations,
+    transmit,
+)
 from driftppm.constructions import (
     code_bounded_drift,
     code_gcd,
@@ -33,6 +39,7 @@ from driftppm.decode import (
     _normalize_signal,
 )
 from driftppm.distinguish import _MARGIN
+from driftppm.simulate import run_endpoint_roundtrips, run_uniform_roundtrips
 
 
 def exact(*values):
@@ -214,8 +221,10 @@ class TestFloatMode:
         assert decode_fn(ObservedSignal((3.0, 5.0), True), BD65) == expected
 
     def test_nan_tolerance_refused(self):
-        with pytest.raises(ValueError):
-            decode(ObservedSignal.from_floats([3.0, 5.0]), BD65, tol=math.nan)
+        y = ObservedSignal.from_floats([3.0, 5.0])
+        for decode_fn in (decode, decode_fast, consistent_codewords):
+            with pytest.raises(ValueError, match=r"^tolerance must lie in \[0, 1\), got nan$"):
+                decode_fn(y, BD65, tol=math.nan)
 
     @pytest.mark.parametrize("tol", [0, 0.0, "0", F(999_999, 10**6), 1 - 2**-53])
     def test_tolerance_range_ends_accepted(self, tol):
@@ -436,6 +445,30 @@ class TestJitterlessLookup:
     def test_edge_inputs_match_feasibility_scan(self, book, signals):
         for signal in signals:
             assert_matches_feasibility_scan(book, signal)
+
+    @pytest.mark.parametrize("k, candidates", [(2, 40), (3, 80)])
+    def test_distinct_ratios_one_float_key(self, k, candidates):
+        # the last two words' ratios x_c/x_1 are distinct rationals that round
+        # to one float: a point observation of either reads both, and the
+        # exact tests tell them apart
+        big = ((2**52 - 1, 2**52 - 2), (2**52 - 2, 2**52 - 3))
+        words = [(1, 2, 3)[:k]] + [w + w[1:] * (k - 2) for w in big]
+        assert words[1][1] / words[1][0] == words[2][1] / words[2][0]
+        book = Codebook.build(k, max(map(sum, words)), ChannelSpec(1, F(7, 4)), "custom", words)
+        endpoints = run_endpoint_roundtrips(book)
+        uniform = run_uniform_roundtrips(book, 200, seed=1)
+        for report in (endpoints, uniform):
+            assert report.failures == 0 and report.kernel == "scalar"
+        assert endpoints.candidates == candidates
+        decoder = get_decoder(book)
+        spec_ints = book.spec.ints
+        d, factors = endpoint_ints(book.spec, k)
+        rows = [[c * x for c, x in zip(f, w)] for w in book.codewords for f in factors]
+        general, structured, _ = decoder.decode_points(np.array(rows, dtype=object), d, *spec_ints)
+        scans = [_general_scan(decoder, a, a, d, spec_ints) for a in rows]
+        index = {w: i for i, w in enumerate(book.codewords)}
+        assert general.tolist() == [index[s[0]] if len(s) == 1 else -1 for s in scans]
+        assert structured is None
 
     def test_all_multiples_in_window(self):
         book = Codebook(2, 20, ChannelSpec(1, INFINITY), "custom", ((1, 2), (2, 4), (3, 6), (4, 7)))

@@ -405,6 +405,24 @@ class TestTrialCounts:
         with pytest.raises(ValueError, match="non-negative"):
             run_uniform_roundtrips(code_gcd(2, 10), -3, seed=1, t_cap=2)
 
+    @pytest.mark.parametrize(
+        "trials", [True, False, 2.5, "3", F(3)], ids=["True", "False", "float", "str", "Fraction"]
+    )
+    def test_non_int_trials_refused(self, trials):
+        book = code_gcd(2, 10)
+        with pytest.raises(TypeError, match="^trials must be an int, got "):
+            run_endpoint_roundtrips(book, trials=trials)
+        with pytest.raises(TypeError, match="^trials must be an int, got "):
+            run_uniform_roundtrips(book, trials, seed=1, t_cap=2)
+
+    def test_none_trials(self):
+        # endpoint mode reads None as every (codeword, corner) pair; uniform
+        # mode has no such default
+        book = code_gcd(2, 10)
+        assert run_endpoint_roundtrips(book, trials=None).trials == len(book) << book.k + 1
+        with pytest.raises(TypeError, match="^trials must be an int, got None$"):
+            run_uniform_roundtrips(book, None, seed=1, t_cap=2)
+
 
 def test_jitter_k3_candidates_per_trial():
     # the acceptance grid's k=3 jitter books: the two-key ratio index sends
