@@ -170,10 +170,11 @@ def _cmd_construct(args) -> int:
 
 def _sweep_rows(args):
     if args.param == "M":
-        grid = [int(tok) for tok in args.values.split(",") if tok.strip()]
-        if not grid:
-            raise ValueError("empty value grid")
-        points = [(str(v), args.k, v, args.xi, args.gamma) for v in grid]
+        grid = _parse_grid(args.values, parse_ratio)
+        for v in grid:
+            if v.denominator != 1 or v < 1:
+                raise ValueError(f"M must be an integer of at least 1, got {format_ratio(v)}")
+        points = [(str(v), args.k, int(v), args.xi, args.gamma) for v in grid]
     elif args.param == "xi":
         grid = _parse_grid(args.values, parse_ratio)
         points = [(format_ratio(v), args.k, args.M, v, args.gamma) for v in grid]

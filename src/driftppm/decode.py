@@ -41,8 +41,14 @@ A round-trip driver decodes many exact point observations of one codebook
 at once through Decoder.decode_points: the same exact predicates, evaluated
 as int64 arrays where every product fits and as arrays of Python ints
 (dtype object) otherwise.  Its general, chain and alphabet decoders all
-test the candidates of the one window.  Without jitter a consistent word's
-float keys are the observation's own, so at k >= 3 the window is read
+test the candidates of the one window, each test a one-dimensional
+comparison over the candidates' columns.  The ratio test, each x_c/x_1 in
+its window, is the chain decoder; the general decoder adds the drift windows
+of runs 2..k and the pairs of runs among them.  Without jitter the ratio test
+forces a_c*x_1 = a_1*x_c, which makes every run's window the first run's and
+every pair an equality, so the general decoder is the ratio test too: O(k)
+comparisons per candidate.  The same equal ratios make a consistent word's
+float keys the observation's own, so at k >= 3 a jitterless window is read
 exactly: the one cell of the observation's first key, at the rank of its
 x_3/x_1 key.
 
@@ -300,19 +306,25 @@ class Decoder:
         return, or -1 when either would return none or several, or raise;
         structured is None for a regime without a structured decoder.
         candidates counts the (row, word) pairs that every decoder tests.
+
+        Each test compares columns of candidates: the first run's drift
+        window, then the 2(k-1) ratio comparisons that are the chain test.
+        Under jitter the general test adds k-1 drift windows and the
+        (k-1)(k-2) pairs of runs 2..k; without jitter it is the ratio test.
+        No product exceeds what point_dtype bounds.
         """
-        rows = len(obs)
+        rows, k = len(obs), self.k
         structure = REGIMES[self.regime]
         a_cols = np.ascontiguousarray(obs.T)
         x_cols = self._word_columns.astype(obs.dtype, copy=False)
         counts = np.zeros((2, rows), dtype=np.int64)
         found = np.full((2, rows), -1, dtype=np.int64)
-        gpd, hq = g * p * d, h * q
+        gpd, hq, pd = g * p * d, h * q, p * d
         if structure == "alphabet":
             # _fast_alphabet: the rows whose every run window [a_i*q/(p*d),
             # a_i/d] holds exactly one alphabet value
-            alphabet = np.array(self._alphabet, dtype=obs.dtype)
-            lo = np.searchsorted(alphabet, -(-a_cols * q // (p * d)))
+            alphabet = self._alphabet_column.astype(obs.dtype, copy=False)
+            lo = np.searchsorted(alphabet, -(-a_cols * q // pd))
             single = (np.searchsorted(alphabet, a_cols // d, side="right") - lo == 1).all(0)
         order, row, starts, ends = self._point_windows(a_cols, p, q)
         candidates = 0
@@ -325,19 +337,37 @@ class Decoder:
             keep = (d * x <= a) & (a * hq <= gpd * x)
             r, w = r[keep], w[keep]
             a, x = a_cols[:, r], x_cols[:, w]
-            # pair[i, j] is a_i*q*x_j <= a_j*p*x_i, true when i == j
-            pair = (a * q)[:, None] * x[None] <= x[:, None] * (a * p)[None]
-            # _feasible: every run's drift window and every pair
-            window = (d * x[1:] <= a[1:]) & (a[1:] * hq <= gpd * x[1:])
-            hits = [window.all(0) & pair.all((0, 1))]
+            # the pair (i, j) is a_i*q*x_j <= a_j*p*x_i.  ratio holds the
+            # pairs (1, c) and (c, 1): each ratio x_c/x_1 in its window,
+            # which is _fast_chain's test
+            a1q, a1p = a[0] * q, a[0] * p
+            ratio = np.ones(len(r), dtype=bool)
+            for c in range(1, k):
+                ratio &= (a[c] * q * x[0] <= a1p * x[c]) & (a1q * x[c] <= a[c] * p * x[0])
+            # _feasible adds the drift windows of runs 2..k and the pairs
+            # (i, j) with i, j >= 2.  Without jitter (p = q) ratio forces
+            # a_c*x_1 = a_1*x_c: run c's window is then the first run's
+            # scaled by x_c/x_1 > 0, which the prefilter passed, and each
+            # pair is the equality a_i*x_j = a_j*x_i, so ratio decides
+            general = ratio
+            if p != q:
+                general = ratio.copy()
+                for i in range(1, k):
+                    general &= (d * x[i] <= a[i]) & (a[i] * hq <= gpd * x[i])
+                    aiq, aip = a[i] * q, a[i] * p
+                    for j in range(i + 1, k):
+                        general &= (aiq * x[j] <= a[j] * p * x[i]) & (a[j] * q * x[i] <= aip * x[j])
+            hits = [general]
             if structure == "chain":
-                # _fast_chain: each ratio x_c/x_1 in its window
-                hits.append(pair[0].all(0) & pair[:, 0].all(0))
+                hits.append(ratio)
             elif structure == "alphabet":
                 # _fast_alphabet: every run in its window, so every ratio in
                 # its window and, as gamma >= 1, the first run in its drift
                 # window; at most one word passes in a single row
-                hits.append(single[r] & ((d * x <= a) & (a * q <= p * d * x)).all(0))
+                alphabet_hit = single[r]
+                for i in range(k):
+                    alphabet_hit &= (d * x[i] <= a[i]) & (a[i] * q <= pd * x[i])
+                hits.append(alphabet_hit)
             for t, hit in enumerate(hits):
                 counts[t] += np.bincount(r[hit], minlength=rows)
                 found[t, r[hit]] = w[hit]
@@ -396,6 +426,11 @@ class Decoder:
         base = (j0[row] + _block_offsets(cells)) * n
         ends = np.searchsorted(keys, base + hi[row])
         return order, row, np.searchsorted(keys, base + lo[row]), ends
+
+    @cached_property
+    def _alphabet_column(self):
+        # _alphabet as an array, in the dtype _word_columns chooses
+        return np.array(self._alphabet, dtype=np.int64 if self._top < _INT64_GUARD else object)
 
     @cached_property
     def _ratio_keys(self):

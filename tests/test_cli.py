@@ -121,6 +121,24 @@ class TestSweep:
         rates = [line.split(",")[2] for line in out.strip().splitlines()[1:]]
         assert rates == ["2.3219", "4.3923", "6.3038", "8.3354", "10.2981", "12.2938"]
 
+    def test_m_range_is_its_comma_list(self, capsys):
+        outs = []
+        for values in ("16:64:16", "16,32,48,64"):
+            code, out, err = run(
+                capsys, "sweep", "--param", "M", "--values", values,
+                "--k", "2", "--xi", "1", "--gamma", "7/4",
+            )
+            assert (code, err) == (0, "")
+            outs.append(out)
+        assert outs[0] == outs[1]
+        assert [line.split(",")[0] for line in outs[0].splitlines()[1:]] == ["16", "32", "48", "64"]
+
+    @pytest.mark.parametrize("values, point", [("65/2", "65/2"), ("8,0", "0"), ("1:2:1/2", "3/2")])
+    def test_m_not_a_frame_size_exits_1(self, capsys, values, point):
+        code, out, err = run(capsys, "sweep", "--param", "M", "--values", values, "--k", "2")
+        assert (code, out) == (1, "")
+        assert err == f"error: M must be an integer of at least 1, got {point}\n"
+
     def test_xi_sweep_bounded_drift_has_best_column(self, capsys, tmp_path):
         csv_path = tmp_path / "sweep.csv"
         code, out, _ = run(

@@ -426,9 +426,8 @@ class TestJitterlessLookup:
             values[data.draw(st.integers(0, k - 1))] += data.draw(
                 st.fractions(F(1, 8), 2, max_denominator=8)
             )
-        signal = exact(*values)
-        if data.draw(st.booleans()):
-            signal = signal.as_floats()
+        point = exact(*values)
+        signal = point.as_floats() if data.draw(st.booleans()) else point
         gamma = data.draw(st.sampled_from([F(1), F(7, 4), F(4), INFINITY]))
         p, q, g, h = spec_ints = ChannelSpec(xi, gamma).ints
         a, b, d = _normalize_signal(signal, None)
@@ -438,6 +437,37 @@ class TestJitterlessLookup:
             if decoder._feasible(w, a, b, d, p, q, g * p * d, h * q)
         ]
         assert decoder.consistent_ints(a, b, d, *spec_ints) == scan
+        # the exact observation as one decode_points row: the scan's one
+        # word or -1, with and without jitter in the decode spec
+        a, d = _exact_ints(values)
+        scan = _general_scan(decoder, a, a, d, spec_ints)
+        expected = [book.codewords.index(scan[0]) if len(scan) == 1 else -1]
+        for dtype in (decoder.point_dtype(max(a), d, *spec_ints), object):
+            general, _, _ = decoder.decode_points(np.array([a], dtype=dtype), d, *spec_ints)
+            assert general.tolist() == expected
+
+    @pytest.mark.parametrize(
+        "word, row, d, spec",
+        [
+            # run 2 past its drift window: 24/5 > gamma*xi*3
+            ((2, 3), (11, 24), 5, ChannelSpec(F(3, 2), 1)),
+            # the pair (2, 3): (44/20) / (30/30) > xi
+            ((1, 2, 3), (15, 44, 30), 10, ChannelSpec(F(3, 2), INFINITY)),
+        ],
+        ids=["window", "pair"],
+    )
+    def test_jitter_tests_past_the_ratios(self, word, row, d, spec):
+        # every ratio x_c/x_1 is in its window, so _fast_chain accepts the
+        # word, but _feasible does not: under jitter decode_points must test
+        # more than the ratios
+        book = Codebook.build(len(word), sum(word), spec, "custom", [word])
+        decoder = Decoder(book)
+        spec_ints = spec.ints
+        assert decoder._fast_chain(row, row, d, *spec_ints) == [word]
+        assert _general_scan(decoder, row, row, d, spec_ints) == []
+        for dtype in (np.int64, object):
+            general, _, _ = decoder.decode_points(np.array([row], dtype=dtype), d, *spec_ints)
+            assert general.tolist() == [-1]
 
     @pytest.mark.parametrize(
         "book, signals", [c[1:] for c in EDGE_INPUTS], ids=[c[0] for c in EDGE_INPUTS]
