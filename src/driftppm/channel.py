@@ -7,11 +7,16 @@ so the primary coverage tool is the set of 2^(k+1) corner realizations
 (each factor at its lower or upper bound); seeded uniform sampling fills in
 interior points.
 
+Both are rows (u_T, u_Z1, ..., u_Zk) of one exact grid, index u in
+[0, 2^bits] standing for 1 + (hi - 1) * u/2^bits on [1, hi]: a corner is a
+row of the 0-bit grid, read from the bits of its index, and grid_ints turns
+rows of any width into integer observations.
+
+The uniform trial layout, word pick included, is written here alone.
 Uniform trial t of a seed reads the k+2 outputs x_0..x_{k+1} of
 counter_draws under run_key(seed).  Its codeword is floor(x_0 * n / 2^64),
 each of the n within 2^-64 of probability 1/n, and the top _GRID_BITS bits
-of x_1 and x_{i+1} index T and Z_i on an exact 2^-_GRID_BITS rational grid.
-sample_realization is trial 0.
+of x_1 and x_{i+1} index T and Z_i.  sample_realization is trial 0.
 """
 
 from __future__ import annotations
@@ -35,8 +40,7 @@ __all__ = [
     "derive_trial_seed",
     "run_key",
     "counter_draws",
-    "endpoint_ints",
-    "uniform_sampler",
+    "grid_ints",
 ]
 
 # Bits of the uniform grid: exact rationals, float-dense coverage at 53.
@@ -148,9 +152,61 @@ def counter_draws(key: int, first: int, count: int, slots: int) -> np.ndarray:
     return z ^ (z >> np.uint64(31))
 
 
-def _grid_indices(x: np.ndarray) -> np.ndarray:
-    """Rows (u_T, u_Z1, ..., u_Zk) of uniform trials' draws x: slots 1..k+1's top bits."""
-    return x[:, 1:] >> np.uint64(64 - _GRID_BITS)
+def _uniform_trials(key: int, first: int, count: int, k: int, n: int = 0):
+    """(words, rows) of uniform trials first .. first+count-1 of a run key:
+    each one's codeword index among n (None when n is 0) and its grid row
+    (u_T, u_Z1, ..., u_Zk), laid out as the module docstring gives."""
+    x = counter_draws(key, first, count, k + 2)
+    rows = x[:, 1:] >> np.uint64(64 - _GRID_BITS)
+    # x_0 * n needs Python ints
+    words = (x[:, 0].astype(object) * n >> 64).astype(np.intp) if n else None
+    return words, rows
+
+
+def _corner_rows(k: int, count: int) -> np.ndarray:
+    """Grid rows of corners 0 .. count-1 on the 0-bit grid: bit 0 of a
+    corner's index is u_T, low or high, and bit i is u_Zi."""
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+    return np.arange(count)[:, None] >> np.arange(k + 1) & 1
+
+
+def _grid(hi: Fraction, bits: int):
+    """(den, point): grid index u is the factor point(u)/den on [1, hi].
+    point maps ints, and numpy object arrays of them elementwise."""
+    den, step = hi.denominator << bits, hi.numerator - hi.denominator
+    return den, lambda u: den + step * u
+
+
+def grid_ints(spec: ChannelSpec, bits: int, t_cap=None):
+    """Integer form of the 2^-bits grid of realizations, for round-trip drivers.
+
+    Returns (d, top, factors): factors(u) maps rows u = (u_T, u_Z1, ...,
+    u_Zk) of grid indices, a numpy array, to the realizations with the grid
+    points T and Z_i, as rows c with c_i = T * Z_i * d, so that a word x is
+    observed as Y_i = c_i * x_i / d.  The rows are numpy object arrays of
+    Python ints, and no c_i exceeds top.
+    """
+    td, t_point = _grid(_upper_drift(spec, t_cap), bits)
+    zd, z_point = _grid(spec.xi, bits)
+
+    def factors(u: np.ndarray) -> np.ndarray:
+        u = u.astype(object)
+        # (T * td) * (Z_i * zd): products near 2^(2 * bits)
+        return t_point(u[:, :1]) * z_point(u[:, 1:])
+
+    # the largest factor is that of the top index 2^bits: T and every Z_i high
+    return td * zd, t_point(1 << bits) * z_point(1 << bits), factors
+
+
+def _realizations(spec: ChannelSpec, bits: int, t_cap, rows) -> Iterator[ChannelRealization]:
+    """The realizations of grid rows (u_T, u_Z1, ..., u_Zk) of Python ints."""
+    td, t_point = _grid(_upper_drift(spec, t_cap), bits)
+    zd, z_point = _grid(spec.xi, bits)
+    for u_t, *u_z in rows:
+        yield ChannelRealization(
+            Fraction(t_point(u_t), td), tuple(Fraction(z_point(u), zd) for u in u_z)
+        )
 
 
 def sample_realization(
@@ -161,71 +217,12 @@ def sample_realization(
     endpoint_realizations gives the corners."""
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    td, t_point = _grid(_upper_drift(spec, t_cap))
-    zd, z_point = _grid(spec.xi)
-    ((u_t, *u_z),) = _grid_indices(counter_draws(run_key(seed), 0, 1, k + 2)).tolist()
-    t = Fraction(t_point(u_t), td)
-    return ChannelRealization(t, tuple(Fraction(z_point(u), zd) for u in u_z))
-
-
-def _grid(hi: Fraction):
-    """(den, point): grid index u in [0, 2^_GRID_BITS) is the factor
-    point(u)/den = 1 + (hi - 1) * u/2^_GRID_BITS on [1, hi].  point maps
-    ints, and numpy object arrays of them elementwise."""
-    den, step = hi.denominator << _GRID_BITS, hi.numerator - hi.denominator
-    return den, lambda u: den + step * u
-
-
-def uniform_sampler(spec: ChannelSpec, t_cap=None):
-    """Integer form of uniform sampling, for round-trip drivers.
-
-    Returns (d, top, factors): factors(u) maps grid indices to realizations,
-    row by row, on a numpy object array of Python ints.  A row u = (u_T,
-    u_Z1, ..., u_Zk) of grid indices is the realization with the grid
-    points T and Z_i that sample_realization would give for the same
-    indices, as the row c with c_i = T * Z_i * d, so that a word x is
-    observed as Y_i = c_i * x_i / d.  No c_i exceeds top.
-    """
-    hi_t = _upper_drift(spec, t_cap)
-    td, t_point = _grid(hi_t)
-    zd, z_point = _grid(spec.xi)
-
-    def factors(u: np.ndarray) -> np.ndarray:
-        # (T * td) * (Z_i * zd): products near 2^110
-        return t_point(u[:, :1]) * z_point(u[:, 1:])
-
-    # T <= hi_t and Z_i <= xi, over the grid denominators td and zd
-    return td * zd, (hi_t.numerator * spec.xi.numerator) << (2 * _GRID_BITS), factors
-
-
-def _corners(k: int) -> Iterator[tuple[int, tuple[int, ...]]]:
-    """Each corner as (T high, (Z_1 high, ..., Z_k high)), 0 or 1, in index order.
-
-    Bit 0 of the index selects T low/high and bit i selects Z_i.
-    """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    for index in range(1 << (k + 1)):
-        yield index & 1, tuple(index >> i & 1 for i in range(1, k + 1))
-
-
-def endpoint_ints(spec: ChannelSpec, k: int, t_cap=None) -> tuple[int, list[list[int]]]:
-    """(d, factors): the corner realizations in index order, corner j as
-    Y_i = factors[j][i] * x_i / d."""
-    hi_t = _upper_drift(spec, t_cap)
-    xi = spec.xi
-    # with d = den(T_hi) * den(xi), the factor t*z*d of each low/high choice
-    t_factor = (hi_t.denominator, hi_t.numerator)
-    z_factor = (xi.denominator, xi.numerator)
-    d = hi_t.denominator * xi.denominator
-    return d, [[t_factor[t] * z_factor[z] for z in zs] for t, zs in _corners(k)]
+    _, rows = _uniform_trials(run_key(seed), 0, 1, k)
+    return next(_realizations(spec, _GRID_BITS, t_cap, rows.tolist()))
 
 
 def endpoint_realizations(
     spec: ChannelSpec, k: int, t_cap=None
 ) -> Iterator[ChannelRealization]:
-    """All 2^(k+1) corner realizations, in the index order of _corners."""
-    t_values = (Fraction(1), _upper_drift(spec, t_cap))
-    z_values = (Fraction(1), spec.xi)
-    for t, zs in _corners(k):
-        yield ChannelRealization(t_values[t], tuple(z_values[z] for z in zs))
+    """All 2^(k+1) corner realizations, in the index order of the round trips."""
+    yield from _realizations(spec, 0, t_cap, _corner_rows(k, 2 << k).tolist())

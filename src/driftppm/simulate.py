@@ -13,7 +13,8 @@ counter-based generator, so trial t's word and realization depend only on
 (seed, t): a whole batch of trials is drawn in one array pass, and no split
 of the trials into batches or runs changes them.
 
-Both modes decode their trials in batches through Decoder.decode_points, as
+Both modes read their observations from channel.grid_ints, the corners on
+its 0-bit grid, and decode them in batches through Decoder.decode_points, as
 int64 arrays where every product fits and as arrays of Python ints
 otherwise.  consistent_ints and fast_ints run again only on the first failed
 trials, to word the report's examples.
@@ -28,7 +29,7 @@ from typing import Optional
 import numpy as np
 
 from .core import REGIMES, ChannelSpec, Codebook
-from .channel import _grid_indices, counter_draws, endpoint_ints, run_key, uniform_sampler
+from . import channel
 from .decode import AmbiguityError, get_decoder
 
 __all__ = ["TrialReport", "DEFAULT_T_CAP", "run_endpoint_roundtrips", "run_uniform_roundtrips"]
@@ -46,7 +47,9 @@ class TrialReport:
     the dtype the batched trials were decoded in: "int64", or "scalar"
     (Python ints, where an int64 product could overflow; uniform trials
     always).  In endpoint mode ``corner_failures[i]`` counts the failures
-    under corner i.  ``candidates`` counts the (trial, codeword) pairs the
+    under corner i, for each corner the trials reach: all 2^(k+1) with full
+    coverage, the first min(2^(k+1), ceil(trials/|C|)) under an explicit
+    trial count.  ``candidates`` counts the (trial, codeword) pairs the
     batched decoder sent to its exact tests.
     """
 
@@ -142,20 +145,22 @@ def run_endpoint_roundtrips(
     if trials is not None:
         _check_trials(trials)
     spec, decoder = _trial_decoder(codebook, spec)
-    d, factors = endpoint_ints(spec, codebook.k, DEFAULT_T_CAP if t_cap is None else t_cap)
-    n, n_corners = len(decoder.words), len(factors)
-    total = n * n_corners if trials is None else trials
+    d, top, factors = channel.grid_ints(spec, 0, DEFAULT_T_CAP if t_cap is None else t_cap)
+    n, corners = len(decoder.words), 2 << codebook.k
+    total = n * corners if trials is None else trials
+    # only the corners the trials reach: every trial t < total has
+    # (t div n) mod corners == (t div n) mod reached
+    reached = min(corners, -(-total // n))
 
     def batches(dtype):
-        table = np.array(factors, dtype=dtype)
+        table = factors(channel._corner_rows(codebook.k, reached)).astype(dtype)
         for first in range(0, total, _ROWS):
-            # trial t sends word t mod n through corner (t div n) mod n_corners
+            # trial t sends word t mod n through corner (t div n) mod 2^(k+1)
             t = np.arange(first, min(first + _ROWS, total))
-            corner = t // n % n_corners
+            corner = t // n % reached
             yield t % n, table[corner], corner
 
-    scale = max(map(max, factors))
-    return _run_batches(decoder, spec, total, d, scale, batches, n_corners)
+    return _run_batches(decoder, spec, total, d, top, batches, reached)
 
 
 def run_uniform_roundtrips(
@@ -172,15 +177,12 @@ def run_uniform_roundtrips(
     """
     _check_trials(trials)
     spec, decoder = _trial_decoder(codebook, spec)
-    d, scale, factors = uniform_sampler(spec, t_cap)
-    key, n = run_key(seed), len(decoder.words)
+    d, top, factors = channel.grid_ints(spec, channel._GRID_BITS, t_cap)
+    key, n, k = channel.run_key(seed), len(decoder.words), codebook.k
 
     def batches(dtype):
         for first in range(0, trials, _ROWS):
-            x = counter_draws(key, first, min(_ROWS, trials - first), codebook.k + 2)
-            word = (x[:, 0].astype(object) * n >> 64).astype(np.intp)
-            # the grid's products need Python ints
-            grid = _grid_indices(x).astype(object)
-            yield word, factors(grid).astype(dtype, copy=False), None
+            word, rows = channel._uniform_trials(key, first, min(_ROWS, trials - first), k, n)
+            yield word, factors(rows).astype(dtype, copy=False), None
 
-    return _run_batches(decoder, spec, trials, d, scale, batches)
+    return _run_batches(decoder, spec, trials, d, top, batches)

@@ -9,15 +9,15 @@ from driftppm.core import INFINITY, ChannelSpec
 from driftppm.channel import (
     ChannelRealization,
     ObservedSignal,
-    _grid_indices,
+    _corner_rows,
+    _uniform_trials,
     counter_draws,
     derive_trial_seed,
-    endpoint_ints,
     endpoint_realizations,
+    grid_ints,
     run_key,
     sample_realization,
     transmit,
-    uniform_sampler,
 )
 
 from reference_draws import splitmix64, trial_draws, uniform_trial
@@ -100,7 +100,7 @@ class TestEndpoints:
         with pytest.raises(ValueError, match="^k must be >= 1, got 0$"):
             list(endpoint_realizations(spec, 0))
         with pytest.raises(ValueError, match="^k must be >= 1, got 0$"):
-            endpoint_ints(spec, 0)
+            _corner_rows(0, 2)
 
     def test_unbounded_drift_needs_cap(self):
         spec = ChannelSpec(1, INFINITY)
@@ -179,15 +179,26 @@ class TestCounterDraws:
     def test_unbounded_drift_realizations(self, seed, k):
         # gamma = inf: T on the grid of [1, t_cap]
         spec, t_cap = ChannelSpec(F(3, 2), INFINITY), F(13, 2)
-        d, top, factors = uniform_sampler(spec, t_cap)
+        d, top, factors = grid_ints(spec, 53, t_cap)
         for trial in self.TRIALS:
-            x = counter_draws(run_key(seed), trial, 1, k + 2)
-            (row,) = factors(_grid_indices(x).astype(object)).tolist()
+            _, rows = _uniform_trials(run_key(seed), trial, 1, k)
+            (row,) = factors(rows).tolist()
             _, (u_t, *u_z) = uniform_trial(seed, trial, 1, k)
             t = 1 + (t_cap - 1) * F(u_t, 1 << 53)
             z = [1 + (spec.xi - 1) * F(u, 1 << 53) for u in u_z]
             assert [F(c, d) for c in row] == [t * zi for zi in z]
             assert max(row) <= top
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    @pytest.mark.parametrize("n", [1, 7, 2**40 + 3, 2**63 - 1])
+    def test_word_pick_matches_reference(self, seed, n):
+        # trials 1 020 .. 1 029 straddle the round trips' batch of 1 024
+        k, first = 2, 1020
+        words, rows = _uniform_trials(run_key(seed), first, 10, k, n)
+        assert words.dtype == np.intp
+        reference = [uniform_trial(seed, t, n, k) for t in range(first, first + 10)]
+        assert [(int(w), row) for w, row in zip(words, rows.tolist())] == reference
+        assert _uniform_trials(run_key(seed), first, 10, k)[0] is None
 
 
 class TestIntegerRealizations:
@@ -198,15 +209,15 @@ class TestIntegerRealizations:
         gamma=st.one_of(st.fractions(1, 4, max_denominator=20), st.just(INFINITY)),
     )
     @settings(max_examples=60, deadline=None)
-    def test_uniform_sampler_matches_fraction_formula(self, seed, k, xi, gamma):
+    def test_uniform_grid_matches_fraction_formula(self, seed, k, xi, gamma):
         spec = ChannelSpec(xi, gamma)
         t_cap = F(13, 2)
         hi_t = t_cap if gamma == INFINITY else gamma
         # sample_realization is trial 0 of the uniform round trips of seed
         words = [tuple(range(j + 1, j + k + 1)) for j in range(5)]
         pick, u = uniform_trial(seed, 0, len(words), k)
-        d, top, factors = uniform_sampler(spec, t_cap)
-        (c,) = factors(np.array([u], dtype=object)).tolist()
+        d, top, factors = grid_ints(spec, 53, t_cap)
+        (c,) = factors(np.array([u], dtype=np.uint64)).tolist()
         assert max(c) <= top
         t, *z = [1 + (hi - 1) * F(ui, 1 << 53) for hi, ui in zip((hi_t,) + (xi,) * k, u)]
         assert [F(ci, d) for ci in c] == [t * zi for zi in z]
@@ -216,15 +227,25 @@ class TestIntegerRealizations:
         word = words[pick]
         assert transmit(word, r).values == tuple(F(ci * x, d) for ci, x in zip(c, word))
 
-    def test_endpoint_ints_match_realizations(self):
+    def test_corners_are_the_zero_bit_grid(self):
         for spec, t_cap in (
             (ChannelSpec(F(3, 2), F(7, 4)), None),
             (ChannelSpec(2, INFINITY), 5),
             (ChannelSpec(F(21, 20), INFINITY), F(17, 3)),
         ):
+            hi_t = spec.gamma if t_cap is None else F(t_cap)
             for k in (1, 2, 3):
-                corners = [
-                    [r.t * z for z in r.z] for r in endpoint_realizations(spec, k, t_cap)
+                realizations = list(endpoint_realizations(spec, k, t_cap))
+                rows = _corner_rows(k, 2 << k)
+                # bit 0 of the corner's index is T high, bit i is Z_i high
+                assert rows.tolist() == [[j >> i & 1 for i in range(k + 1)] for j in range(2 << k)]
+                assert [(r.t, r.z) for r in realizations] == [
+                    ((1, hi_t)[u_t], tuple((1, spec.xi)[u] for u in u_z))
+                    for u_t, *u_z in rows.tolist()
                 ]
-                d, factors = endpoint_ints(spec, k, t_cap)
-                assert corners == [[F(ci, d) for ci in c] for c in factors]
+                d, top, factors = grid_ints(spec, 0, t_cap)
+                corners = [[r.t * z for z in r.z] for r in realizations]
+                table = factors(rows).tolist()
+                assert corners == [[F(ci, d) for ci in c] for c in table]
+                assert d == hi_t.denominator * spec.xi.denominator
+                assert top == max(map(max, table))

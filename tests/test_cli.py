@@ -273,6 +273,15 @@ class TestSimulate:
     def test_missing_file_exits_1(self, capsys):
         assert run(capsys, "simulate", "--code", "/nonexistent.code")[0] == 1
 
+    def test_few_trials_of_a_long_frame(self, capsys, tmp_path):
+        # 2^41 corners at k = 40: ten trials build only the ten they reach
+        path = tmp_path / "long.code"
+        word = tuple(range(1, 41))
+        spec = ChannelSpec(F(3, 2), F(7, 4))
+        dump_codebook(Codebook.build(40, sum(word), spec, "custom", [word]), path)
+        code, out, _ = run(capsys, "simulate", "--code", str(path), "--trials", "10")
+        assert (code, out) == (0, "trials=10 failures=0\n")
+
     @pytest.mark.parametrize(
         "mode, gamma",
         [("endpoints", "inf"), ("uniform", "inf"), ("endpoints", "7/4"), ("uniform", "7/4")],

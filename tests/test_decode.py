@@ -13,8 +13,9 @@ from driftppm.core import INFINITY, REGIMES, ChannelSpec, Codebook, enumerate_in
 from driftppm.channel import (
     ChannelRealization,
     ObservedSignal,
-    endpoint_ints,
+    _corner_rows,
     endpoint_realizations,
+    grid_ints,
     transmit,
 )
 from driftppm.constructions import (
@@ -492,7 +493,8 @@ class TestJitterlessLookup:
         assert endpoints.candidates == candidates
         decoder = get_decoder(book)
         spec_ints = book.spec.ints
-        d, factors = endpoint_ints(book.spec, k)
+        d, _, factors = grid_ints(book.spec, 0)
+        factors = factors(_corner_rows(k, 2 << k)).tolist()
         rows = [[c * x for c, x in zip(f, w)] for w in book.codewords for f in factors]
         general, structured, _ = decoder.decode_points(np.array(rows, dtype=object), d, *spec_ints)
         scans = [_general_scan(decoder, a, a, d, spec_ints) for a in rows]

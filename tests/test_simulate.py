@@ -1,5 +1,6 @@
 import importlib
 import math
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -53,7 +54,8 @@ def trial_details(decoder, word, factors, spec):
 def oracle_report(codebook, spec=None, t_cap=None, trials=None):
     """(trials, failures, examples, corner_failures) of the endpoint round
     trips, one trial at a time through consistent_ints and fast_ints of a
-    fresh Decoder, each corner taken exactly from endpoint_realizations."""
+    fresh Decoder, each corner taken exactly from endpoint_realizations.
+    corner_failures has one count per corner the trials reach."""
     spec = codebook.spec if spec is None else spec
     decoder = Decoder(codebook)
     t_cap = DEFAULT_T_CAP if t_cap is None else t_cap
@@ -63,7 +65,7 @@ def oracle_report(codebook, spec=None, t_cap=None, trials=None):
     words = codebook.codewords
     n = len(words)
     total = n * len(corners) if trials is None else trials
-    corner_failures = [0] * len(corners)
+    corner_failures = [0] * min(len(corners), -(-total // n))
     examples = []
     for t in range(total):
         word, corner = words[t % n], t // n % len(corners)
@@ -414,6 +416,19 @@ class TestTrialCounts:
             run_endpoint_roundtrips(book, trials=trials)
         with pytest.raises(TypeError, match="^trials must be an int, got "):
             run_uniform_roundtrips(book, trials, seed=1, t_cap=2)
+
+    @pytest.mark.parametrize("k", [40, 62])
+    def test_few_trials_reach_few_corners(self, k):
+        # 2^(k+1) corners: only the ten that ten trials of one word reach
+        # are built, and at k = 62 their count is past int64
+        spec = ChannelSpec(F(3, 2), F(7, 4))
+        word = tuple(range(1, k + 1))
+        book = Codebook.build(k, sum(word), spec, "custom", [word])
+        start = time.perf_counter()
+        report = run_endpoint_roundtrips(book, trials=10)
+        assert time.perf_counter() - start < 1
+        assert (report.trials, report.failures) == (10, 0)
+        assert report.corner_failures == [0] * 10
 
     def test_none_trials(self):
         # endpoint mode reads None as every (codeword, corner) pair; uniform
