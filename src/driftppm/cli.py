@@ -18,7 +18,6 @@ from .core import (
     INFINITY,
     REGIMES,
     ChannelSpec,
-    UnsupportedRegimeError,
     format_ratio,
     parse_drift_ratio,
     parse_ratio,
@@ -50,20 +49,6 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _ratio(text):
-    try:
-        return parse_ratio(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc))
-
-
-def _drift(text):
-    try:
-        return parse_drift_ratio(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc))
-
-
 def _non_negative(parse):
     """argparse type: parse the value, then refuse it below zero (or NaN)."""
 
@@ -77,15 +62,37 @@ def _non_negative(parse):
     return check
 
 
+def _as_argument(parse):
+    """argparse type: parse the value, reporting a ValueError as a bad argument."""
+
+    def check(text):
+        try:
+            return parse(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc))
+
+    check.__name__ = parse.__name__  # argparse names the type in parse errors
+    return check
+
+
+_ratio = _as_argument(parse_ratio)
+_drift = _as_argument(parse_drift_ratio)
+
+
+def _channel_arguments(p, m_required=True) -> None:
+    """--k, --M, --xi and --gamma: the frame and channel of a construction."""
+    p.add_argument("--k", type=int, required=True, help="number of pulses")
+    p.add_argument("--M", type=int, required=m_required, help="frame size in bins")
+    p.add_argument("--xi", type=_ratio, default=Fraction(1), help="jitter ratio")
+    p.add_argument("--gamma", type=_drift, default=INFINITY, help="drift ratio or inf")
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="driftppm", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("construct", help="build a codebook and report its rate")
-    p.add_argument("--k", type=int, required=True, help="number of pulses")
-    p.add_argument("--M", type=int, required=True, help="frame size in bins")
-    p.add_argument("--xi", type=_ratio, default=Fraction(1), help="jitter ratio")
-    p.add_argument("--gamma", type=_drift, default=INFINITY, help="drift ratio or inf")
+    _channel_arguments(p)
     p.add_argument(
         "--regime",
         default=AUTO_REGIME,
@@ -101,10 +108,7 @@ def _build_parser() -> _Parser:
         required=True,
         help="comma list ('1,7/4,inf') or range 'start:stop:step'",
     )
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--M", type=int)
-    p.add_argument("--xi", type=_ratio, default=Fraction(1))
-    p.add_argument("--gamma", type=_drift, default=INFINITY)
+    _channel_arguments(p, m_required=False)
     p.add_argument("--csv", help="output path; stdout when omitted")
 
     p = sub.add_parser("simulate", help="round-trip decode trials over a codebook")
@@ -124,10 +128,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--gamma", type=_drift, help="defaults to the file's gamma")
 
     p = sub.add_parser("oracle", help="exact optimum by maximum independent set")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--M", type=int, required=True)
-    p.add_argument("--xi", type=_ratio, default=Fraction(1))
-    p.add_argument("--gamma", type=_drift, default=INFINITY)
+    _channel_arguments(p)
     p.add_argument(
         "--budget-seconds", type=_non_negative(float), help="wall-clock budget"
     )
@@ -169,49 +170,40 @@ def _cmd_construct(args) -> int:
 
 
 def _sweep_rows(args):
+    grid = _parse_grid(args.values, parse_drift_ratio if args.param == "gamma" else parse_ratio)
     if args.param == "M":
-        grid = _parse_grid(args.values, parse_ratio)
         for v in grid:
             if v.denominator != 1 or v < 1:
                 raise ValueError(f"M must be an integer of at least 1, got {format_ratio(v)}")
-        points = [(str(v), args.k, int(v), args.xi, args.gamma) for v in grid]
-    elif args.param == "xi":
-        grid = _parse_grid(args.values, parse_ratio)
-        points = [(format_ratio(v), args.k, args.M, v, args.gamma) for v in grid]
-    else:
-        grid = _parse_grid(args.values, parse_drift_ratio)
-        points = [(format_ratio(v), args.k, args.M, args.xi, v) for v in grid]
-    if any(p[2] is None for p in points):
+        grid = [int(v) for v in grid]
+    elif args.M is None:
         raise ValueError("--M is required")
 
     rows = []
-    for label, k, m, xi, gamma in points:
-        codebook = construct(k, m, xi, gamma)
-        rows.append((label, len(codebook), rate_bits(codebook)))
+    for v in grid:
+        # the shared point, with the swept field replaced
+        p = {"M": args.M, "xi": args.xi, "gamma": args.gamma, args.param: v}
+        codebook = construct(args.k, p["M"], p["xi"], p["gamma"])
+        rows.append([format_ratio(v), len(codebook), rate_bits(codebook)])
 
-    best = None
     if args.param == "xi" and args.gamma != INFINITY:
         # a code built for larger jitter stays zero-error at smaller jitter,
         # so the best rate at xi is the max over grid points with value >= xi
-        best = [0.0] * len(rows)
         running = float("-inf")
-        for i in sorted(range(len(rows)), key=lambda i: points[i][3], reverse=True):
+        for i in sorted(range(len(rows)), key=grid.__getitem__, reverse=True):
             running = max(running, rows[i][2])
-            best[i] = running
-    return rows, best
+            rows[i].append(running)
+    return rows
+
+
+_SWEEP_COLUMNS = ("param_value", "codebook_size", "rate_bits", "best_rate_bits")
 
 
 def _cmd_sweep(args) -> int:
-    rows, best = _sweep_rows(args)
-    lines = []
-    if best is None:
-        lines.append("param_value,codebook_size,rate_bits")
-        for label, size, rate in rows:
-            lines.append(f"{label},{size},{rate:.4f}")
-    else:
-        lines.append("param_value,codebook_size,rate_bits,best_rate_bits")
-        for (label, size, rate), b in zip(rows, best):
-            lines.append(f"{label},{size},{rate:.4f},{b:.4f}")
+    rows = _sweep_rows(args)
+    lines = [",".join(_SWEEP_COLUMNS[: len(rows[0])])]
+    for label, size, *rates in rows:
+        lines.append(",".join([label, str(size), *(f"{r:.4f}" for r in rates)]))
     text = "\n".join(lines) + "\n"
     if args.csv:
         with open(args.csv, "w", encoding="utf-8", newline="\n") as fh:
@@ -224,15 +216,11 @@ def _cmd_sweep(args) -> int:
 def _cmd_simulate(args) -> int:
     codebook = load_codebook(args.code)
     if args.mode == "endpoints":
-        report = run_endpoint_roundtrips(
-            codebook, t_cap=args.t_cap, trials=args.trials
-        )
+        report = run_endpoint_roundtrips(codebook, t_cap=args.t_cap, trials=args.trials)
     else:
         if args.trials is None:
             raise ValueError("--trials is required in uniform mode")
-        report = run_uniform_roundtrips(
-            codebook, args.trials, args.seed, t_cap=args.t_cap
-        )
+        report = run_uniform_roundtrips(codebook, args.trials, args.seed, t_cap=args.t_cap)
     print(f"trials={report.trials} failures={report.failures}")
     return EXIT_OK if report.ok else EXIT_FAILED
 
@@ -279,10 +267,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return _COMMANDS[args.command](args)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (ValueError, UnsupportedRegimeError, OSError) as exc:
+    except (_UsageError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

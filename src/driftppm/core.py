@@ -269,11 +269,17 @@ def enumerate_inputs(k: int, m: int) -> list[Runs]:
 
 
 def _check_frame(k: int, m: int) -> None:
-    """Refuse k < 1 pulses, and a frame of m < k bins, which holds no input."""
+    """Refuse k < 1 pulses, a frame of m < k bins, which holds no input, and
+    more than MAX_INPUTS pulses, whose single input is too long to build."""
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     if m < k:
         raise EmptyDomainError(f"no inputs with {k} pulses in {m} bins")
+    if k > MAX_INPUTS:
+        raise ValueError(
+            f"k={k}, M={m} has {k} runs per input, more than the {MAX_INPUTS} "
+            "that can be enumerated"
+        )
 
 
 def _run_vectors(k: int, m: int, alphabet: Sequence[int]) -> list[Runs]:

@@ -207,7 +207,10 @@ def _windows(arr, mx, spec):
     """Vertex indices sorted by window key, and for each sorted position the
     exclusive end of its window."""
     n, k = arr.shape
-    factor = spec.xi * spec.xi if k > 1 else spec.gamma * spec.xi
+    if k > 1:
+        factor = spec.xi * spec.xi
+    else:  # an infinite gamma alone: times a xi past every float it overflows
+        factor = spec.gamma if spec.unbounded_drift else spec.gamma * spec.xi
     if mx >= _FLOAT_EXACT or factor >= _FLOAT_EXACT**2:
         # runs a float cannot hold, or a factor past every ratio of runs
         # below _FLOAT_EXACT (unbounded drift at k = 1): every pair is a candidate

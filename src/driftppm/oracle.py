@@ -13,6 +13,7 @@ validate.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -52,21 +53,23 @@ class _Budget:
     """Node and wall-clock limits; the node limit is the reproducible one."""
 
     def __init__(self, node_budget, time_budget):
-        self.node_budget = node_budget
+        self.node_budget = math.inf if node_budget is None else node_budget
         self.deadline = None if time_budget is None else time.monotonic() + time_budget
         self.nodes = 0
         self.exhausted = False
 
     def tick(self) -> bool:
-        if self.exhausted:
+        # only expanded nodes count, and the clock is read before every
+        # 1024th: nodes as a node budget repeats the search
+        if self.exhausted or self.nodes >= self.node_budget or (
+            self.deadline is not None
+            and self.nodes % 1024 == 1023
+            and time.monotonic() > self.deadline
+        ):
+            self.exhausted = True
             return False
         self.nodes += 1
-        if self.node_budget is not None and self.nodes > self.node_budget:
-            self.exhausted = True
-        elif self.deadline is not None and self.nodes % 1024 == 0:
-            if time.monotonic() > self.deadline:
-                self.exhausted = True
-        return not self.exhausted
+        return True
 
 
 def _components(neighbors: Sequence[int], n: int) -> list[int]:
@@ -197,8 +200,8 @@ def max_independent_set(
     cover index cannot beat the incumbent.  Among equal-size solutions the
     first one reached is kept, so unless the time budget runs out the result
     depends only on the graph and the node budget.  Budget exhaustion is
-    reported as a status, not an error; ``nodes`` counts the search nodes
-    visited, and a node budget of exactly that many reproduces the result.
+    reported as a status, not an error; ``nodes`` counts the nodes expanded,
+    whatever the status, and that many as a node budget reproduces the result.
     """
     budget = _Budget(node_budget, time_budget)
     chosen: list[int] = []

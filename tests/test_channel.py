@@ -75,6 +75,12 @@ class TestObservedSignal:
         with pytest.raises(ValueError, match="finite"):
             ObservedSignal((1.0, bad), False)
 
+    def test_rejects_empty(self):
+        with pytest.raises(ValueError, match="^empty signal$"):
+            ObservedSignal((), True)
+        with pytest.raises(ValueError, match="^empty signal$"):
+            ObservedSignal.from_floats([])
+
     def test_float_conversion(self):
         sig = ObservedSignal.from_exact([F(3, 2), 2]).as_floats()
         assert not sig.exact
@@ -126,6 +132,10 @@ class TestUniform:
         spec = ChannelSpec(2, F(7, 4))
         assert sample_realization(spec, 2, 99) == sample_realization(spec, 2, 99)
         assert sample_realization(spec, 2, 99) != sample_realization(spec, 2, 100)
+
+    def test_zero_runs_refused(self):
+        with pytest.raises(ValueError, match="^k must be >= 1, got 0$"):
+            sample_realization(ChannelSpec(2, F(7, 4)), 0, 1)
 
     def test_unbounded_drift_rejected_without_cap(self):
         with pytest.raises(ValueError, match="endpoints"):

@@ -83,6 +83,11 @@ class TestConstruct:
         code, _, err = run(capsys, "construct", "--k", "2", "--M", "10", "--xi", "zero")
         assert code == 1
 
+    def test_bad_gamma_exits_1(self, capsys):
+        code, out, err = run(capsys, "construct", "--k", "2", "--M", "10", "--gamma", "x")
+        assert (code, out) == (1, "")
+        assert err == "error: argument --gamma: not an exact ratio: 'x'\n"
+
 
 class TestSweep:
     def test_gamma_sweep(self, capsys):
@@ -212,6 +217,16 @@ class TestSweep:
             "--k", "2", "--M", "10", "--xi", "1",
         )
         assert code == 1
+
+    @pytest.mark.parametrize(
+        "values, message",
+        [("1:2", "range must be start:stop:step, got '1:2'"), ("1:2:0", "range step must be positive")],
+    )
+    def test_malformed_range_exits_1(self, capsys, values, message):
+        code, out, err = run(
+            capsys, "sweep", "--param", "xi", "--values", values, "--k", "2", "--M", "10",
+        )
+        assert (code, out, err) == (1, "", f"error: {message}\n")
 
     def test_oversized_range_exits_1(self, capsys):
         code, out, err = run(
@@ -425,6 +440,11 @@ class TestOracle:
         code, out, err = run(capsys, "oracle", "--k", "2", "--M", "3", "--xi", "1e400")
         assert (code, out, err) == (0, "mis_size=1 status=EXACT\n", "")
 
+    def test_one_pulse_xi_beyond_float_range(self, capsys):
+        # unbounded drift confuses every pair of one-run inputs
+        code, out, err = run(capsys, "oracle", "--k", "1", "--M", "5", "--xi", "1e309")
+        assert (code, out, err) == (0, "mis_size=1 status=EXACT\n", "")
+
     def test_exact(self, capsys):
         code, out, _ = run(capsys, "oracle", "--k", "2", "--M", "6",
                            "--xi", "1", "--gamma", "inf")
@@ -436,6 +456,12 @@ class TestOracle:
                            "--xi", "2", "--gamma", "inf")
         assert code == 0
         assert out.startswith("mis_size=3 ")
+
+    def test_time_budget_exceeded_exit_3(self, capsys):
+        # the clock is first read before the 1024th of the 2 689 search nodes
+        code, out, err = run(capsys, "oracle", "--k", "2", "--M", "24", "--xi", "2",
+                             "--gamma", "3/2", "--budget-seconds", "0")
+        assert (code, out, err) == (3, "mis_size=9 status=BUDGET_EXCEEDED\n", "")
 
     def test_budget_exceeded_exit_3(self, capsys):
         # the root node alone cannot prove this instance (it takes 37 nodes)
@@ -520,6 +546,26 @@ class TestInputSizeGuard:
         assert (code, out) == (1, "")
         assert err.startswith("error: k=2, M=100000 has ") and "more than the" in err
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "command, flags",
+        [
+            ("construct", ()),
+            ("oracle", ()),
+            ("construct", ("--regime", "jitter", "--xi", "2", "--gamma", "1")),
+        ],
+        ids=["construct", "oracle", "jitter"],
+    )
+    def test_more_pulses_than_the_limit_refused(self, capsys, command, flags):
+        # C(M, M) = 1 input, but it holds 10^11 runs
+        start = time.perf_counter()
+        code, out, err = run(capsys, command, "--k", "100000000000", "--M", "100000000000", *flags)
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (1, "")
+        assert err == (
+            "error: k=100000000000, M=100000000000 has 100000000000 runs per input, "
+            "more than the 2000000 that can be enumerated\n"
+        )
 
     def test_jitter_chain_refused_before_it_is_built(self, capsys):
         # at xi = 1 the chain would hold every run value up to 10^8

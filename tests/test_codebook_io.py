@@ -89,6 +89,12 @@ def test_load_rejects_repeated_header_field():
         loads_codebook("k=2 M=5 xi=1 gamma=1 regime=custom M=6\n1 1\n")
 
 
+@pytest.mark.parametrize("token", ["k2", "N=5", "=2"])
+def test_load_rejects_bad_header_token(token):
+    with pytest.raises(ValueError, match=f"^bad header token '{token}'$"):
+        loads_codebook(f"k=2 M=5 xi=1 gamma=1 regime=custom {token}\n1 1\n")
+
+
 def test_load_rejects_empty():
     with pytest.raises(ValueError):
         loads_codebook("")

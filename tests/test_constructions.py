@@ -363,6 +363,13 @@ class TestSizeGuard:
         with pytest.raises(ValueError, match=f"^{text}"):
             code_jitter(k, 65, F(21, 20))
 
+    def test_jitter_pulse_limit_is_inclusive(self, monkeypatch):
+        # one chain value fits M - k + 1 = 1, but each input holds k runs
+        monkeypatch.setattr(core, "MAX_INPUTS", 5)
+        assert code_jitter(5, 5, 2).codewords == ((1,) * 5,)
+        with pytest.raises(ValueError, match="^k=6, M=6 has 6 runs per input, more than the 5"):
+            code_jitter(6, 6, 2)
+
     def test_drift_chain_refused_before_its_multipliers(self, monkeypatch):
         # at gamma = 1 the chain holds every multiplier up to M
         def refuse(*args):
@@ -449,6 +456,8 @@ class TestBaselines:
         assert naive_rate(2, 65) == 6
         assert naive_rate(3, 16) == pytest.approx(6.7142, abs=1e-3)
         assert naive_rate(1, 30) == 0
+        with pytest.raises(ValueError, match="need 1 <= k <= m, got k=3 m=2"):
+            naive_rate(3, 2)
 
 
 class TestMonotonicity:

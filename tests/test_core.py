@@ -16,6 +16,7 @@ from driftppm.core import (
     Codebook,
     EmptyDomainError,
     as_ratio,
+    check_run_vector,
     enumerate_inputs,
     format_ratio,
     parse_drift_ratio,
@@ -81,6 +82,14 @@ class TestEnumerateInputs:
     def test_bad_k(self):
         with pytest.raises(ValueError):
             enumerate_inputs(0, 5)
+
+    def test_pulse_limit_is_inclusive(self, monkeypatch):
+        # C(M, M) = 1 input, but that input holds k runs
+        monkeypatch.setattr(core, "MAX_INPUTS", 5)
+        assert enumerate_inputs(5, 5) == [(1,) * 5]
+        text = "k=6, M=6 has 6 runs per input, more than the 5 that can be enumerated"
+        with pytest.raises(ValueError, match=f"^{re.escape(text)}$"):
+            enumerate_inputs(6, 6)
 
 
 class TestInputSizeGuard:
@@ -171,6 +180,10 @@ class TestRates:
         cb = Codebook(1, 64, ChannelSpec(1, 1), "custom", tuple((i,) for i in range(1, 65)))
         assert rate_bits(cb) == 6
 
+    def test_empty_codebook_has_no_rate(self):
+        with pytest.raises(ValueError, match="empty codebook has no rate"):
+            rate_bits(Codebook(2, 4, ChannelSpec(1, 1), "custom", ()))
+
 
 class TestRatios:
     @pytest.mark.parametrize(
@@ -206,6 +219,10 @@ class TestRatios:
     def test_floats_rejected(self):
         with pytest.raises(TypeError):
             as_ratio(1.03)
+
+    def test_bools_rejected(self):
+        with pytest.raises(TypeError, match="ratio must be a Fraction, int, or string"):
+            as_ratio(True)
 
     @given(
         st.fractions(min_value=0, max_value=100, max_denominator=1000),
@@ -301,6 +318,18 @@ class TestCodebook:
     def test_rejects_unknown_regime(self):
         with pytest.raises(ValueError):
             Codebook(2, 5, ChannelSpec(1, 1), "optimal", ((1, 1),))
+
+    @pytest.mark.parametrize("k, m", [(0, 5), (3, 2)])
+    def test_rejects_empty_frame(self, k, m):
+        with pytest.raises(ValueError, match=f"need 1 <= k <= m, got k={k} m={m}"):
+            Codebook(k, m, ChannelSpec(1, 1), "custom", ())
+
+    def test_run_vector_checks(self):
+        with pytest.raises(ValueError, match="at least one run"):
+            check_run_vector((), 5)
+        with pytest.raises(TypeError, match="runs must be ints, got 2.0"):
+            check_run_vector((1, 2.0), 5)
+        assert check_run_vector([1, 2], 3) == (1, 2)
 
     def test_build_sorts_and_dedupes(self):
         cb = Codebook.build(2, 5, ChannelSpec(1, 1), "custom", [(2, 1), (1, 1), (2, 1)])

@@ -405,6 +405,15 @@ EDGE_INPUTS = [
         _edge_book(3, ((1, 2, 3), (5, 1, 1)), xi=_HUGE, regime="jitter-unbounded-drift"),
         [exact(1, 2, 3), exact(_HUGE, 1, 1), exact(1, 1, 1).as_floats()],
     ),
+    # x_2/x_1 = 10^308 under xi = 2: the window's lower end is a float, its
+    # upper end is past every float
+    (
+        "window-top-past-floats",
+        _edge_book(2, ((1, 2), (3, 5)), xi=2, regime="jitter-unbounded-drift"),
+        [exact(1, 10**308), exact(1, 10**308).as_floats()],
+    ),
+    # x_2/x_1 is in range, x_3/x_1 lies above every float
+    ("third-window-past-floats", _edge_book(3, ((1, 2, 3), (2, 1, 1))), [exact(1, 2, _HUGE)]),
 ]
 
 
@@ -476,6 +485,17 @@ class TestJitterlessLookup:
     def test_edge_inputs_match_feasibility_scan(self, book, signals):
         for signal in signals:
             assert_matches_feasibility_scan(book, signal)
+
+    @pytest.mark.parametrize("signal", [(1, 2, 3), (2, 1, 1), (3, 2, 1), (2, 4, 6)])
+    def test_cell_width_past_floats(self, signal):
+        # the book's own xi makes the cell width overflow, so the k = 3 index
+        # is one cell; decoding under xi = 1 still agrees with every word
+        book = Codebook(3, 6, ChannelSpec(10**200, INFINITY), "custom", ((1, 2, 3), (2, 1, 1)))
+        spec = ChannelSpec(1, INFINITY)
+        a, b, d = _normalize_signal(exact(*signal), None)
+        scan = _general_scan(Decoder(book), a, b, d, spec.ints)
+        assert consistent_codewords(exact(*signal), book, spec) == scan
+        assert _outcome(functools.partial(decode, spec=spec), exact(*signal), book) == _expected(scan)
 
     @pytest.mark.parametrize("k, candidates", [(2, 40), (3, 80)])
     def test_distinct_ratios_one_float_key(self, k, candidates):

@@ -293,6 +293,14 @@ class TestCandidateWindow:
         assert scan.kernel == "scalar"
         assert scan.pairs() == list(combinations(range(len(words)), 2))
 
+    @pytest.mark.parametrize("gamma", [INFINITY, F(7, 4)])
+    def test_one_run_xi_beyond_float_range(self, gamma):
+        # at k = 1 the window factor is gamma * xi, a float inf times a
+        # ratio past every float when drift is unbounded
+        words = enumerate_inputs(1, 5)
+        scan = scan_pairs(words, ChannelSpec(F(10**400), gamma))
+        assert scan.pairs() == list(combinations(range(len(words)), 2))
+
     def test_runs_beyond_int64(self):
         words = [(1, 2), (2**70, 2**71 + 1), (2**70, 2**71), (3, 1), (2**71, 2**72)]
         assert scan_pairs(words, ChannelSpec(1, 2)).pairs() == [(2, 4)]

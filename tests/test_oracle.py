@@ -3,7 +3,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from driftppm.core import INFINITY, ChannelSpec, Codebook
+from driftppm.core import INFINITY, ChannelSpec, Codebook, enumerate_inputs
 from driftppm.constructions import (
     code_bounded_drift,
     code_gcd,
@@ -11,7 +11,7 @@ from driftppm.constructions import (
     code_jitter_bounded_drift,
     code_jitter_unbounded_drift,
 )
-from driftppm.distinguish import ConfusionGraph
+from driftppm.distinguish import ConfusionGraph, confusion_graph
 from driftppm.oracle import (
     BUDGET_EXCEEDED,
     EXACT,
@@ -117,12 +117,32 @@ class TestMaxIndependentSet:
     def test_small_budget(self, g, budget):
         res = max_independent_set(g, node_budget=budget)
         assert_independent(g, res.indices)
-        assert res.nodes <= budget + 1
+        assert res.nodes <= budget
         if res.status == EXACT:
             assert res.size == brute_force_mis_size(g)
         else:
             assert res.status == BUDGET_EXCEEDED
         assert max_independent_set(g, node_budget=budget) == res
+        # the nodes it expanded reproduce it, whichever the status
+        assert max_independent_set(g, node_budget=res.nodes) == res
+
+    @pytest.mark.parametrize(
+        "k, m, xi, gamma, budget, nodes, size",
+        [
+            # the node budget runs out at 384 of the 19 735 nodes
+            (2, 22, F(3, 2), F(7, 4), {"node_budget": 384}, 384, 13),
+            # the time budget is read before the 1024th of 2 689 nodes
+            (2, 24, F(2), F(3, 2), {"time_budget": 0}, 1023, 9),
+        ],
+        ids=["node-budget", "time-budget"],
+    )
+    def test_budgeted_result_is_reproduced(self, k, m, xi, gamma, budget, nodes, size):
+        g = confusion_graph(enumerate_inputs(k, m), ChannelSpec(xi, gamma))
+        res = max_independent_set(g, **budget)
+        assert (res.status, res.nodes, res.size) == (BUDGET_EXCEEDED, nodes, size)
+        assert max_independent_set(g, node_budget=res.nodes) == res
+        # one node more lets the search go further
+        assert max_independent_set(g, node_budget=res.nodes + 1).nodes == nodes + 1
 
     @pytest.mark.parametrize(
         "n, edges, size",
