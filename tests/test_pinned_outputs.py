@@ -11,7 +11,9 @@ Each group hashes one family of outputs, so a failure names what changed:
 * ``decoders`` -- the word, or the error's type and message, that ``decode``
   and ``decode_fast`` give on seeded exact in-spec, off-spec, jitterless
   multiple and near-tolerance float signals over the constructed books of
-  test_decode.py plus a k = 3 jitter book.
+  test_decode.py plus a k = 3 jitter book;
+* ``large_frames`` -- ``dumps_codebook`` of both two-pulse jitter-with-drift
+  builders at M = 256, 1024 and 2048, past the frames the other groups reach.
 
 A change that moves a digest on purpose records the new one here and says
 why in CHANGES.md.
@@ -27,7 +29,13 @@ import pytest
 from driftppm.cli import main
 from driftppm.codebook_io import dumps_codebook
 from driftppm.channel import ObservedSignal
-from driftppm.constructions import AUTO_REGIME, code_jitter, construct
+from driftppm.constructions import (
+    AUTO_REGIME,
+    code_jitter,
+    code_jitter_bounded_drift,
+    code_jitter_unbounded_drift,
+    construct,
+)
 from driftppm.core import REGIMES
 from driftppm.decode import DEFAULT_FLOAT_TOLERANCE, decode, decode_fast
 
@@ -60,6 +68,7 @@ PINNED = {
     "cli": "74c68a82dfcc800014111dabf9133b8b621f6081b29c8d7f3c92e9061ac7f20e",
     "sweeps": "0390e9d74ee9f2f1dd836ae946ea20a8f61e9ba2b713f4851f8da0f4a2aa11bb",
     "decoders": "1fde7d4609c872baf7e80ff6a7765d6162508d82412f5aa814680d28abda5ab6",
+    "large_frames": "cef6c58b74bd1233cb8dc570db97c6ac5a8da88693a93b61635320fc0d9a032e",
 }
 
 
@@ -148,11 +157,20 @@ def _decoders(tmp_path, capsys):
                     yield f"{type(exc).__name__}: {exc}"
 
 
+def _large_frames(tmp_path, capsys):
+    for m in (256, 1024, 2048):
+        for xi in (F(21, 20), F(3, 2), F(2)):
+            yield dumps_codebook(code_jitter_unbounded_drift(m, xi))
+            for gamma in (F(1), F(3, 2), F(7, 4), F(4)):
+                yield dumps_codebook(code_jitter_bounded_drift(m, xi, gamma))
+
+
 GROUPS = {
     "constructions": _constructions,
     "cli": _cli,
     "sweeps": _sweeps,
     "decoders": _decoders,
+    "large_frames": _large_frames,
 }
 
 
