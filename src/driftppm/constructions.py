@@ -15,8 +15,10 @@ multiplier is the smallest integer exceeding the previous one by strictly more
 than a given step ratio, i.e. floor(step * d) + 1.  Every input x is gcd(x)
 times its primitive vector, so a chain code over every primitive vector keeps
 x iff gcd(x) is on the chain: one pass over the inputs, in lexicographic
-order.  Over a few bases, the code is the union of their chains.  Every
-builder takes its ratios through ChannelSpec.  All arithmetic is exact.
+order.  Over a few bases, the code is the union of their chains.  The
+two-pulse bases are a greedy ratio ascent, one Stern-Brocot successor search
+per word, so they cost O(words * log M) at any frame size.  Every builder
+takes its ratios through ChannelSpec.  All arithmetic is exact.
 """
 
 from __future__ import annotations
@@ -142,40 +144,27 @@ def code_jitter(k: int, m: int, xi) -> Codebook:
     return Codebook(k, m, spec, "jitter", tuple(words))
 
 
-def _coprime_pairs(m: int):
-    """Coprime pairs (x1, x2) with x1 + x2 <= m, by increasing ratio x2/x1.
+def _next_pair(a: int, b: int, m: int) -> tuple[int, int] | None:
+    """The pair (x1, x2) with the least ratio x2/x1 > a/b and x1 + x2 <= m.
 
-    x2/x1 -> x2/(x1 + x2) is increasing and onto the interior of the Farey
-    sequence of order m, so walking that sequence visits the ratios in order.
+    None when no pair fits.  A Stern-Brocot descent towards a/b keeps
+    neighbours lo <= a/b < hi; every fraction strictly between them sums to at
+    least their sums together, so once that passes m the answer is hi.  Each
+    step moves one end as far as it can go, lo to the last mediant at or below
+    a/b, hi to the last one above it that fits m: O(log m) steps, in integers.
     """
-    if m < 2:
-        raise EmptyDomainError(f"no two-pulse inputs in {m} bins")
-    # x1 + x2 = s is coprime iff x1 is prime to s: phi(s) pairs of each sum
-    count = 0
-    for s in range(2, m + 1):
-        count += _totient(s)
-        if count > MAX_INPUTS:
-            raise ValueError(
-                f"k=2, M={m} has {'=' if s == m else '>='} {count} coprime inputs, "
-                f"more than the {MAX_INPUTS} that can be enumerated"
-            )
-    a, b, c, d = 0, 1, 1, m
-    while c < d:
-        yield d - c, c
-        q = (m + b) // d
-        a, b, c, d = c, d, q * c - a, q * d - b
-
-
-def _totient(n: int) -> int:
-    """Euler's phi: the integers in [1, n] prime to n."""
-    out, p = n, 2
-    while p * p <= n:
-        if n % p == 0:
-            out -= out // p
-            while n % p == 0:
-                n //= p
-        p += 1
-    return out - out // n if n > 1 else out
+    lp, lq, hp, hq = 0, 1, 1, 0  # lo = lp/lq, hi = hp/hq
+    below, above = a, b  # a*lq - b*lp and b*hp - a*hq, both kept >= 0
+    while lp + lq + hp + hq <= m:
+        if above <= below:  # the mediant is at or below a/b
+            j = below // above
+            lp, lq, below = lp + j * hp, lq + j * hq, below - j * above
+        else:
+            j = (m - hp - hq) // (lp + lq)
+            if below:
+                j = min(j, (above - 1) // below)
+            hp, hq, above = hp + j * lp, hq + j * lq, above - j * below
+    return (hq, hp) if hq else None
 
 
 def ratio_set(m: int) -> list[Fraction]:
@@ -184,7 +173,7 @@ def ratio_set(m: int) -> list[Fraction]:
     Coprime pairs map one-to-one onto lowest-terms fractions, so the set is
     in bijection with code_gcd(2, m).
     """
-    return [Fraction(x2, x1) for x1, x2 in _coprime_pairs(m)]
+    return sorted(Fraction(x2, x1) for x1, x2 in code_gcd(2, m).codewords)
 
 
 def code_jitter_unbounded_drift(m: int, xi) -> Codebook:
@@ -192,18 +181,24 @@ def code_jitter_unbounded_drift(m: int, xi) -> Codebook:
 
     Only the run ratio survives unbounded drift, and jitter can move an
     observed ratio by a factor of xi in each direction, so codeword ratios
-    must be separated by strictly more than xi^2.  Starting from the smallest
-    ratio 1/(m-1), repeatedly pick the smallest admissible ratio; each chosen
-    fraction's lowest-terms form is the codeword (denominator, numerator).
+    must be separated by strictly more than xi^2.  Starting from ratio 0,
+    each pick is the pair with the smallest ratio above xi^2 times the last
+    (_next_pair); its lowest-terms form is the codeword (denominator,
+    numerator).  Refused once the code passes MAX_INPUTS words.
     """
     spec = ChannelSpec(xi, INFINITY)
+    if m < 2:
+        raise EmptyDomainError(f"no two-pulse inputs in {m} bins")
     p, q = spec.xi.numerator**2, spec.xi.denominator**2
-    words = []
-    y1, y2 = 1, 0  # the last pick; ratio 0 admits the first pair
-    for x1, x2 in _coprime_pairs(m):
-        if q * x2 * y1 > p * y2 * x1:  # x2/x1 > xi^2 * y2/y1
-            words.append((x1, x2))
-            y1, y2 = x1, x2
+    words, a, b = [], 0, 1  # ratio 0 admits the first pair
+    while pair := _next_pair(a, b, m):
+        if len(words) == MAX_INPUTS:
+            raise ValueError(
+                f"k=2, M={m} has >= {MAX_INPUTS + 1} codewords, more than the "
+                f"{MAX_INPUTS} that can be enumerated"
+            )
+        words.append(pair)
+        a, b = p * pair[1], q * pair[0]  # xi^2 * x2/x1
     return Codebook.build(2, m, spec, "jitter-unbounded-drift", words)
 
 
@@ -216,16 +211,19 @@ def code_jitter_bounded_drift(m: int, xi, gamma) -> Codebook:
     optimal: a single observed run can move by a factor of gamma*xi, so
     multiples of a base codeword must be separated by more than that.  The
     chain never looks at its limit, so each base takes the prefix of one
-    chain up to m that fits the frame.
+    chain up to m // 2 that fits the frame, counted before any word is built.
     """
     spec = ChannelSpec(xi, gamma)
-    # a float inf when gamma is: the chain is [1], bases only
-    chain = geometric_multipliers(spec.gamma * spec.xi, m)
-    words = (
-        (c * x1, c * x2)
-        for x1, x2 in code_jitter_unbounded_drift(m, spec.xi).codewords
-        for c in chain[: bisect_right(chain, m // (x1 + x2))]
-    )
+    bases = code_jitter_unbounded_drift(m, spec.xi).codewords
+    step = INFINITY if spec.unbounded_drift else spec.gamma * spec.xi
+    chain = geometric_multipliers(step, m // 2)
+    sizes = [bisect_right(chain, m // (x1 + x2)) for x1, x2 in bases]
+    if sum(sizes) > MAX_INPUTS:
+        raise ValueError(
+            f"k=2, M={m} has {sum(sizes)} codewords, more than the "
+            f"{MAX_INPUTS} that can be enumerated"
+        )
+    words = ((c * x1, c * x2) for (x1, x2), n in zip(bases, sizes) for c in chain[:n])
     return Codebook.build(2, m, spec, "jitter-bounded-drift", words)
 
 

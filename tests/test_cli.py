@@ -4,7 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from driftppm import core
+from driftppm import constructions, core
 from driftppm.cli import main
 from driftppm.codebook_io import dump_codebook, load_codebook
 from driftppm.constructions import code_bounded_drift
@@ -533,11 +533,10 @@ class TestInputSizeGuard:
     @pytest.mark.parametrize(
         "argv",
         [
-            ("construct", "--k", "2", "--M", "100000", "--xi", "21/20"),
             ("construct", "--k", "2", "--M", "100000", "--xi", "1", "--gamma", "1",
              "--regime", "jitter"),
         ],
-        ids=["farey-walk", "jitter-chain"],
+        ids=["jitter-chain"],
     )
     def test_builders_past_enumerate_inputs_refused(self, capsys, argv):
         start = time.perf_counter()
@@ -546,6 +545,31 @@ class TestInputSizeGuard:
         assert (code, out) == (1, "")
         assert err.startswith("error: k=2, M=100000 has ") and "more than the" in err
         assert err.count("\n") == 1
+
+    def test_jitter_with_drift_built_past_enumerate_inputs(self, capsys):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "construct", "--k", "2", "--M", "100000",
+                             "--xi", "21/20", "--gamma", "7/4")
+        assert time.perf_counter() - start < 1
+        assert (code, out, err) == (0, "size=365 rate=8.5118\n", "")
+
+    @pytest.mark.parametrize(
+        "xi, text",
+        [("1", "has >= 1001 codewords"), ("21/20", "has 1683 codewords")],
+        ids=["bases", "chains"],
+    )
+    def test_jitter_with_drift_words_counted_first(self, capsys, monkeypatch, xi, text):
+        # at gamma * xi = 1 the chain would hold every multiplier up to M / 2;
+        # at xi = 21/20 the 520 bases fit and their chains are counted
+        monkeypatch.setattr(constructions, "MAX_INPUTS", 1000)
+        start = time.perf_counter()
+        code, out, err = run(capsys, "construct", "--k", "2", "--M", "100000000000",
+                             "--xi", xi, "--gamma", "1", "--regime", "jitter-bounded-drift")
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (1, "")
+        assert err == (
+            f"error: k=2, M=100000000000 {text}, more than the 1000 that can be enumerated\n"
+        )
 
     @pytest.mark.parametrize(
         "command, flags",

@@ -1,3 +1,4 @@
+import functools
 import math
 import time
 from bisect import bisect_right
@@ -29,7 +30,7 @@ from driftppm.constructions import (
     ratio_set,
 )
 from driftppm.distinguish import indistinguishable
-from driftppm.oracle import optimal_code_bruteforce
+from driftppm.oracle import optimal_code_bruteforce, verify_zero_error
 from reference_constructions import best_achievable_rate, gcd_of, multiples_chain
 
 
@@ -56,14 +57,25 @@ def fraction_multipliers(step, limit):
     return out
 
 
+# Ratios x2/x1 of the coprime pairs with x1 + x2 <= 400.  The float key
+# only orders them; the exact pass below checks that order.
+RATIOS_400 = sorted(
+    (F(b, a) for a in range(1, 400) for b in range(1, 401 - a) if math.gcd(a, b) == 1),
+    key=float,
+)
+assert all(u < v for u, v in zip(RATIOS_400, RATIOS_400[1:]))
+
+
 def sorted_ratio_set(m):
-    """Ratios x2/x1 of the gcd-1 pairs, sorted as Fractions."""
-    return sorted(F(b, a) for a, b in code_gcd(2, m).codewords)
+    """Ratios x2/x1 of the gcd-1 pairs with x1 + x2 <= m <= 400, sorted."""
+    return [u for u in RATIOS_400 if u.numerator + u.denominator <= m]
 
 
 def ratio_ascent(m, xi):
     """Greedy ratio ascent by bisection over the sorted ratio set."""
     ratios = sorted_ratio_set(m)
+    if xi == 1:  # each ratio clears the one before it
+        return [(u.denominator, u.numerator) for u in ratios]
     words, idx = [], 0
     while idx < len(ratios):
         u = ratios[idx]
@@ -261,6 +273,26 @@ class TestRatioSet:
         assert ratio_set(m) == sorted_ratio_set(m)
 
 
+def test_next_pair_is_the_least_ratio_above():
+    for m in range(1, 41):
+        ratios = sorted_ratio_set(m)
+        probes = [
+            F(0),
+            *ratios,
+            *((u + v) / 2 for u, v in zip(ratios, ratios[1:])),
+            F(m - 1), F(2 * m - 1, 2), F(m), F(10**12),  # nothing fits above
+        ]
+        for r in probes:
+            i = bisect_right(ratios, r)
+            expected = (ratios[i].denominator, ratios[i].numerator) if i < len(ratios) else None
+            if r >= m - 1:
+                assert expected is None
+            # the ascent asks with thresholds that are not in lowest terms
+            for scale in (1, 6):
+                got = constructions._next_pair(scale * r.numerator, scale * r.denominator, m)
+                assert got == expected, (m, r, scale)
+
+
 class TestCodeJitterUnboundedDrift:
     def test_worked_example(self):
         cb = code_jitter_unbounded_drift(5, F(3, 2))
@@ -281,11 +313,18 @@ class TestCodeJitterUnboundedDrift:
                 code_gcd(2, 30).codewords
             )
 
-    @given(st.sampled_from(CHAIN_RATIOS[:-1]), st.integers(2, 80))
+    @given(
+        st.sampled_from([*CHAIN_RATIOS[:-1], F(103, 100), F(1001, 1000)]),
+        st.integers(2, 400),
+    )
     @settings(max_examples=60, deadline=None)
     def test_matches_bisection_ascent(self, xi, m):
         cb = code_jitter_unbounded_drift(m, xi)
         assert list(cb.codewords) == sorted(ratio_ascent(m, xi))
+
+    def test_large_frames(self):
+        assert len(code_jitter_unbounded_drift(10**6, F(21, 20))) == 284
+        assert len(code_jitter_unbounded_drift(10**10, F(21, 20))) == 472
 
     def test_ratio_gaps_exceed_xi_squared(self):
         xi = F(3, 2)
@@ -324,6 +363,16 @@ class TestCodeJitterBoundedDrift:
         cb = code_jitter_bounded_drift(5, F(3, 2), 1)
         assert set(cb.codewords) == {(4, 1), (3, 2), (1, 2)}
 
+    def test_unbounded_drift_with_xi_past_floats(self):
+        cb = code_jitter_bounded_drift(12, "1e309", math.inf)
+        assert cb.codewords == code_jitter_unbounded_drift(12, "1e309").codewords
+        assert cb.codewords == ((11, 1),)
+
+    def test_large_frame_is_zero_error(self):
+        cb = code_jitter_bounded_drift(10**6, F(21, 20), F(7, 4))
+        assert len(cb) == 476
+        assert verify_zero_error(cb).ok
+
     def test_zero_error_by_general_predicate(self):
         cb = code_jitter_bounded_drift(65, 2, 1)
         spec = ChannelSpec(2, 1)
@@ -334,25 +383,21 @@ class TestCodeJitterBoundedDrift:
 class TestSizeGuard:
     """The builders that do not go through enumerate_inputs count first."""
 
-    def test_farey_walk_limit_is_inclusive(self, monkeypatch):
-        # sum of phi(s) over s = 2..65: the coprime pairs the walk visits
-        monkeypatch.setattr(constructions, "MAX_INPUTS", 1307)
-        built = code_jitter_bounded_drift(65, F(21, 20), F(7, 4))
-        monkeypatch.setattr(constructions, "MAX_INPUTS", 1306)
-        text = "k=2, M=65 has = 1307 coprime inputs, more than the 1306"
-        for build in (
-            lambda: code_jitter_unbounded_drift(65, F(21, 20)),
-            lambda: code_jitter_bounded_drift(65, F(21, 20), F(7, 4)),
-            lambda: ratio_set(65),
-        ):
-            with pytest.raises(ValueError, match=f"^{text}"):
+    def test_word_limits_are_inclusive(self, monkeypatch):
+        # at xi = 21/20 the ascent picks 82 bases, whose chains hold 110 words
+        unbounded = functools.partial(code_jitter_unbounded_drift, 65, F(21, 20))
+        bounded = functools.partial(code_jitter_bounded_drift, 65, F(21, 20), F(7, 4))
+        monkeypatch.setattr(constructions, "MAX_INPUTS", 110)
+        assert len(bounded()) == 110
+        monkeypatch.setattr(constructions, "MAX_INPUTS", 109)
+        with pytest.raises(ValueError, match="^k=2, M=65 has 110 codewords, more than the 109 "):
+            bounded()
+        monkeypatch.setattr(constructions, "MAX_INPUTS", 82)
+        assert len(unbounded()) == 82
+        monkeypatch.setattr(constructions, "MAX_INPUTS", 81)
+        for build in (unbounded, bounded):
+            with pytest.raises(ValueError, match="^k=2, M=65 has >= 82 codewords, more than the 81 "):
                 build()
-        monkeypatch.setattr(constructions, "MAX_INPUTS", 10**6)
-        assert code_jitter_bounded_drift(65, F(21, 20), F(7, 4)) == built
-
-    def test_farey_walk_counts_with_an_early_exit(self):
-        with pytest.raises(ValueError, match=r"^k=2, M=10000000000 has >= 200\d{4} coprime"):
-            code_jitter_unbounded_drift(10**10, F(21, 20))
 
     @pytest.mark.parametrize("k, size", [(2, 1044), (3, 22403)])
     def test_run_vector_limit_is_inclusive(self, monkeypatch, k, size):
