@@ -187,9 +187,15 @@ def code_jitter_unbounded_drift(m: int, xi) -> Codebook:
     numerator).  Refused once the code passes MAX_INPUTS words.
     """
     spec = ChannelSpec(xi, INFINITY)
+    words = _ratio_ascent(m, spec.xi)
+    return Codebook.build(2, m, spec, "jitter-unbounded-drift", words)
+
+
+def _ratio_ascent(m: int, xi: Fraction) -> list[tuple[int, int]]:
+    """The unbounded-drift code's words (x1, x2) in ascending ratio order."""
     if m < 2:
         raise EmptyDomainError(f"no two-pulse inputs in {m} bins")
-    p, q = spec.xi.numerator**2, spec.xi.denominator**2
+    p, q = xi.numerator**2, xi.denominator**2
     words, a, b = [], 0, 1  # ratio 0 admits the first pair
     while pair := _next_pair(a, b, m):
         if len(words) == MAX_INPUTS:
@@ -199,7 +205,7 @@ def code_jitter_unbounded_drift(m: int, xi) -> Codebook:
             )
         words.append(pair)
         a, b = p * pair[1], q * pair[0]  # xi^2 * x2/x1
-    return Codebook.build(2, m, spec, "jitter-unbounded-drift", words)
+    return words
 
 
 def code_jitter_bounded_drift(m: int, xi, gamma) -> Codebook:
@@ -214,7 +220,7 @@ def code_jitter_bounded_drift(m: int, xi, gamma) -> Codebook:
     chain up to m // 2 that fits the frame, counted before any word is built.
     """
     spec = ChannelSpec(xi, gamma)
-    bases = code_jitter_unbounded_drift(m, spec.xi).codewords
+    bases = _ratio_ascent(m, spec.xi)
     step = INFINITY if spec.unbounded_drift else spec.gamma * spec.xi
     chain = geometric_multipliers(step, m // 2)
     sizes = [bisect_right(chain, m // (x1 + x2)) for x1, x2 in bases]

@@ -120,9 +120,10 @@ def confusion_graph(inputs: Sequence[Sequence[int]], spec: ChannelSpec) -> Confu
 class PairScan:
     """Indistinguishable pairs of a vertex list and how they were found.
 
-    Pair t is (first[t], second[t]), first < second, in ascending order.
-    ``candidates`` pairs reached the exact test, which ran as ``kernel``:
-    "int64", or "scalar" (the same vectorized test on Python ints).
+    Pair t is (first[t], second[t]), first < second, in the order the scan
+    found them; ``pairs()`` lists them in ascending order.  ``candidates``
+    pairs reached the exact test, which ran as ``kernel``: "int64", or
+    "scalar" (the same vectorized test on Python ints).
     """
 
     first: np.ndarray
@@ -131,7 +132,7 @@ class PairScan:
     kernel: str
 
     def pairs(self) -> list[tuple[int, int]]:
-        return list(zip(self.first.tolist(), self.second.tolist()))
+        return sorted(zip(self.first.tolist(), self.second.tolist()))
 
 
 # Integers below this convert to floats exactly.
@@ -175,7 +176,10 @@ _BATCH = 1 << 13
 
 
 def scan_pairs(vertices: Sequence[Runs], spec: ChannelSpec) -> PairScan:
-    """Every indistinguishable pair of vertices, by the candidate window."""
+    """Every indistinguishable pair of vertices, by the candidate window.
+
+    Each pair comes out once, in scan order, not sorted.
+    """
     vertices = list(vertices)
     n = len(vertices)
     p, q, g, h = spec.ints
@@ -197,9 +201,7 @@ def scan_pairs(vertices: Sequence[Runs], spec: ChannelSpec) -> PairScan:
         i, j = i[keep], j[keep]
         # each unordered pair is found once; key it by its (low, high) index
         keys.append(np.minimum(i, j) * n + np.maximum(i, j))
-    key = np.concatenate(keys)
-    key.sort(kind="stable")
-    first, second = np.divmod(key, n)
+    first, second = np.divmod(np.concatenate(keys), n)
     return PairScan(first, second, candidates, kernel)
 
 

@@ -5,10 +5,12 @@ an exact maximum-independent-set solver gives the true optimal code size on
 small instances.  The solver is a deterministic colour-ordered
 branch-and-bound over bitmask neighborhoods (a maximum-clique search on the
 complement graph in the style of Tomita et al., WALCOM 2010): one greedy
-clique cover per search node bounds every branch taken from it.  It keeps
-its own stack, so search depth is not limited by Python's recursion limit,
-and it never exploits any structure of the construction it is asked to
-validate.
+clique cover per search node bounds every branch taken from it.  The
+cliques too few to beat the incumbent are built only to take their vertices
+out, since no branch could pass the bound on them, and a component of one
+vertex is taken without a search.  It keeps its own stack, so search depth
+is not limited by Python's recursion limit, and it never exploits any
+structure of the construction it is asked to validate.
 """
 
 from __future__ import annotations
@@ -40,9 +42,18 @@ BUDGET_EXCEEDED = "BUDGET_EXCEEDED"
 
 @dataclass(frozen=True)
 class MisResult:
+    """An independent set, how the search ended and what it learned.
+
+    ``nodes`` counts the search nodes expanded.  ``bound`` caps the maximum
+    independent set size: the sum over components of the cliques in the
+    root node's cover, or of the vertex count where the budget refused the
+    root; so ``size <= maximum <= bound`` whatever the status.
+    """
+
     indices: tuple[int, ...]
     status: str
     nodes: int = 0
+    bound: Optional[int] = None
 
     @property
     def size(self) -> int:
@@ -93,23 +104,35 @@ def _components(neighbors: Sequence[int], n: int) -> list[int]:
     return comps
 
 
-def _clique_cover(candidates: int, neighbors) -> list[tuple[int, int]]:
+def _clique_cover(candidates: int, neighbors, skip: int) -> list[tuple[int, int]]:
     """Greedily cover candidates with cliques, lowest index first.
 
-    Returns (vertex, cover index) pairs in cover order.  Any independent set
-    takes at most one vertex per clique, so the candidates up to a vertex
-    hold no independent set larger than that vertex's cover index.
+    Returns (vertex, cover index) pairs in cover order for the cliques past
+    the first ``skip``; those are built only to take their vertices out.
+    Any independent set takes at most one vertex per clique, so the
+    candidates up to a vertex hold no independent set larger than that
+    vertex's cover index.
     """
-    cover = []
     count = 0
     rest = candidates
+    # each clique grows inside rest and no vertex neighbors itself, so every
+    # bit taken is still in rest and ^= clears it
+    while rest and count < skip:
+        count += 1
+        grow = rest
+        while grow:
+            bit = grow & -grow
+            rest ^= bit
+            grow &= neighbors[bit.bit_length() - 1]
+    cover = []
     while rest:
         count += 1
         grow = rest
         while grow:
-            u = (grow & -grow).bit_length() - 1
+            bit = grow & -grow
+            u = bit.bit_length() - 1
             cover.append((u, count))
-            rest &= ~(1 << u)
+            rest ^= bit
             grow &= neighbors[u]
     return cover
 
@@ -127,7 +150,14 @@ def _greedy_seed(neighbors, comp: int) -> list[int]:
     return taken
 
 
-def _mis_component(neighbors, comp: int, budget: _Budget) -> list[int]:
+def _mis_component(neighbors, comp: int, budget: _Budget) -> tuple[list[int], int]:
+    """A maximum independent set of one component, or the best within
+    budget, and the root node's clique cover count (the vertex count if the
+    budget refused the root): no independent set of comp is larger."""
+    if not comp & (comp - 1):
+        # a lone vertex: its root node is the whole search
+        budget.tick()
+        return [comp.bit_length() - 1], 1
     # renumber by ascending degree (ties by index): low-degree vertices
     # open the cliques and the greedy incumbent
     order = []
@@ -141,9 +171,21 @@ def _mis_component(neighbors, comp: int, budget: _Budget) -> list[int]:
     # lets the very first bound checks prune
     full = (1 << len(order)) - 1
     best = _greedy_seed(local, full)
+    if not budget.tick():
+        return [order[v] for v in best], len(order)
+    branches = _clique_cover(full, local, len(best))
+    # an empty list means a cover of at most len(best) cliques, which can
+    # be no fewer than an independent set has vertices
+    bound = branches[-1][1] if branches else len(best)
     # one frame per search node: [candidates left, (vertex, cover index)
-    # pairs not yet branched on]; current holds one vertex per child frame
-    stack = [[full, None]]
+    # pairs not yet branched on]; current holds one vertex per child frame.
+    # A frame's cover leaves out its first len(best) - len(current) cliques:
+    # within the frame len(current) is fixed and len(best) only grows, so an
+    # entry with a cover index that low fails the bound check below whenever
+    # it is last.  Entries come in non-decreasing index order and are popped
+    # from the end, so the frame exits at the same pop with or without them,
+    # and the search expands the same nodes.
+    stack = [[full, branches]]
     current: list[int] = []
     while stack:
         frame = stack[-1]
@@ -151,7 +193,9 @@ def _mis_component(neighbors, comp: int, budget: _Budget) -> list[int]:
         if branches is None:
             if not budget.tick():
                 break
-            branches = frame[1] = _clique_cover(candidates, local)
+            branches = frame[1] = _clique_cover(
+                candidates, local, len(best) - len(current)
+            )
         if branches and len(current) + branches[-1][1] > len(best):
             v, _ = branches.pop()
             bit = 1 << v
@@ -167,7 +211,7 @@ def _mis_component(neighbors, comp: int, budget: _Budget) -> list[int]:
             stack.pop()
         if current:
             current.pop()
-    return [order[v] for v in best]
+    return [order[v] for v in best], bound
 
 
 def _renumber(neighbors, order: list[int], width: int) -> list[int]:
@@ -197,18 +241,25 @@ def max_independent_set(
     by ascending degree.  At every search node one greedy clique cover of
     the candidate set bounds every branch: the search branches on vertices
     in reverse cover order and stops once the current set plus the vertex's
-    cover index cannot beat the incumbent.  Among equal-size solutions the
+    cover index cannot beat the incumbent.  The first cliques, as many as
+    the incumbent is larger than the current set, can never pass that test,
+    so their vertices are never listed.  A component of one vertex counts
+    one node and is taken as it is.  Among equal-size solutions the
     first one reached is kept, so unless the time budget runs out the result
     depends only on the graph and the node budget.  Budget exhaustion is
     reported as a status, not an error; ``nodes`` counts the nodes expanded,
     whatever the status, and that many as a node budget reproduces the result.
+    ``bound`` caps the optimum from the root nodes' covers (see MisResult).
     """
     budget = _Budget(node_budget, time_budget)
     chosen: list[int] = []
+    bound = 0
     for comp in _components(graph.neighbors, graph.n):
-        chosen.extend(_mis_component(graph.neighbors, comp, budget))
+        found, cap = _mis_component(graph.neighbors, comp, budget)
+        chosen.extend(found)
+        bound += cap
     status = BUDGET_EXCEEDED if budget.exhausted else EXACT
-    return MisResult(tuple(sorted(chosen)), status, budget.nodes)
+    return MisResult(tuple(sorted(chosen)), status, budget.nodes, bound)
 
 
 @dataclass(frozen=True)

@@ -195,6 +195,25 @@ class TestConfusionGraph:
         assert scalar_scan.pairs() == int64_scan.pairs()
         assert expected  # some edges besides i == i
 
+    @pytest.mark.parametrize("spec", [ChannelSpec(F(3, 2), F(7, 4)), UNBOUNDED])
+    def test_pairs_ascend_whatever_the_scan_order(self, spec, monkeypatch):
+        # inputs in lexicographic order: (2, 1) comes after (1, 11) but has
+        # a smaller first ratio, so the scan meets pairs out of index order
+        words = enumerate_inputs(2, 12)
+        expected = brute_force_pairs(words, spec)
+        masks = [0] * len(words)
+        for i, j in expected:
+            masks[i] |= 1 << j
+            masks[j] |= 1 << i
+        for guard in (distinguish._INT64_GUARD, 0):  # int64, then Python ints
+            monkeypatch.setattr(distinguish, "_INT64_GUARD", guard)
+            scan = scan_pairs(words, spec)
+            assert scan.kernel == ("scalar" if guard == 0 else "int64")
+            found = list(zip(scan.first.tolist(), scan.second.tolist()))
+            assert found != expected and sorted(found) == expected
+            assert scan.pairs() == expected
+            assert confusion_graph(words, spec).neighbors == tuple(masks)
+
     def test_no_self_loops(self):
         graph = confusion_graph(enumerate_inputs(2, 6), ChannelSpec(2, 1))
         for i in range(graph.n):

@@ -1,4 +1,7 @@
+import importlib
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -20,8 +23,10 @@ from driftppm.oracle import (
     ZeroErrorReport,
     verify_zero_error,
 )
+import reference_oracle
 
 UNBOUNDED = ChannelSpec(1, INFINITY)
+BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 
 def graph_from_edges(n, edges):
@@ -57,6 +62,31 @@ def small_graphs(draw, max_n=14):
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
     return graph_from_edges(n, [p for p, k in zip(pairs, keep) if k])
+
+
+@st.composite
+def split_graphs(draw, max_n=18):
+    """Random graphs cut into up to three parts, some vertices isolated."""
+    n = draw(st.integers(0, max_n))
+    part = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+    # part 3 holds the isolated vertices
+    pairs = [
+        (i, j) for i in range(n) for j in range(i + 1, n) if part[i] == part[j] < 3
+    ]
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return graph_from_edges(n, [p for p, k in zip(pairs, keep) if k])
+
+
+def as_reference(res):
+    return res.indices, res.status, res.nodes
+
+
+@pytest.fixture
+def oracle_instances(monkeypatch):
+    """The benchmark's oracle instances: (k, m, xi, gamma, optimum size)."""
+    monkeypatch.syspath_prepend(str(BENCH))
+    yield importlib.import_module("workloads").ORACLE_INSTANCES
+    sys.modules.pop("workloads", None)
 
 
 class TestMaxIndependentSet:
@@ -160,6 +190,58 @@ class TestMaxIndependentSet:
         res = max_independent_set(g)
         assert (res.size, res.status) == (size, EXACT)
         assert_independent(g, res.indices)
+
+
+class TestSameTreeAsReference:
+    """The search against its form before the cover skipped dead cliques
+    and lone vertices skipped the search: the same nodes, the same set."""
+
+    @given(split_graphs())
+    @settings(max_examples=100, deadline=None)
+    def test_random_graphs_at_every_budget(self, g):
+        expected = reference_oracle.max_independent_set(g)
+        assert as_reference(max_independent_set(g)) == expected
+        for budget in range(expected[2] + 2):
+            res = max_independent_set(g, node_budget=budget)
+            assert as_reference(res) == reference_oracle.max_independent_set(
+                g, node_budget=budget
+            )
+
+    def test_benchmark_instances(self, oracle_instances):
+        assert len(oracle_instances) == 38
+        for k, m, xi, gamma, size in oracle_instances:
+            spec = ChannelSpec(xi, gamma)
+            inputs = enumerate_inputs(k, m)
+            g = confusion_graph(inputs, spec)
+            assert g.neighbors == reference_oracle.confusion_graph(inputs, spec).neighbors
+            res = max_independent_set(g)
+            assert (res.size, res.status) == (size, EXACT)
+            assert as_reference(res) == reference_oracle.max_independent_set(g)
+
+
+class TestRootBound:
+    @given(small_graphs(max_n=12), st.one_of(st.none(), st.integers(0, 12)))
+    @settings(max_examples=150, deadline=None)
+    def test_bound_caps_the_optimum(self, g, budget):
+        res = max_independent_set(g, node_budget=budget)
+        assert res.size <= brute_force_mis_size(g) <= res.bound <= g.n
+
+    def test_refused_roots_count_their_vertices(self):
+        # a triangle, an edge and a lone vertex: with no node to spend no
+        # root is expanded, so each component counts all its vertices
+        g = graph_from_edges(6, [(0, 1), (1, 2), (0, 2), (3, 4)])
+        assert max_independent_set(g, node_budget=0).bound == 6
+        assert max_independent_set(g).bound == 3
+
+    @pytest.mark.parametrize(
+        "m, nodes, size, bound", [(18, 856, 13, 14), (22, 19_735, 14, 16)]
+    )
+    def test_pinned_bounds(self, m, nodes, size, bound):
+        g = confusion_graph(enumerate_inputs(2, m), ChannelSpec(F(3, 2), F(7, 4)))
+        res = max_independent_set(g)
+        assert (res.nodes, res.size, res.bound) == (nodes, size, bound)
+        # the bound is read at the root, so any budget that expands it agrees
+        assert max_independent_set(g, node_budget=1).bound == bound
 
 
 class TestOptimalCodeBruteforce:
