@@ -128,7 +128,10 @@ def derive_trial_seed(seed: int, trial: int) -> int:
 
 def run_key(seed: int) -> int:
     """64-bit key of a seed's uniform round trips: blake2s of its decimal
-    text, so every int seed, negative or past 2^64, has its own stream."""
+    text, so every int seed, negative or past 2^64, has its own stream.
+    Any other seed is refused, bool too: its text would hash as well."""
+    if isinstance(seed, bool) or not isinstance(seed, int):
+        raise TypeError(f"seed must be an int, got {seed!r}")
     digest = hashlib.blake2s(str(seed).encode()).digest()
     return int.from_bytes(digest[:8], "little")
 

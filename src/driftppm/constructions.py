@@ -18,7 +18,8 @@ x iff gcd(x) is on the chain: one pass over the inputs, in lexicographic
 order.  Over a few bases, the code is the union of their chains.  The
 two-pulse bases are a greedy ratio ascent, one Stern-Brocot successor search
 per word, so they cost O(words * log M) at any frame size.  Every builder
-takes its ratios through ChannelSpec.  All arithmetic is exact.
+takes its ratios through ChannelSpec and refuses a code too large to list
+through core's one size guard.  All arithmetic is exact.
 """
 
 from __future__ import annotations
@@ -26,19 +27,17 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from fractions import Fraction
-from itertools import islice
 from typing import Iterator
 
 from .core import (
     INFINITY,
     ChannelSpec,
     Codebook,
-    MAX_INPUTS,
     EmptyDomainError,
     Runs,
     UnsupportedRegimeError,
     _as_drift_ratio,
-    _check_frame,
+    _check_size,
     _run_vectors,
     enumerate_inputs,
 )
@@ -129,18 +128,7 @@ def code_jitter(k: int, m: int, xi) -> Codebook:
     chain values differ by more than the jitter can bridge.
     """
     spec = ChannelSpec(xi, 1)
-    _check_frame(k, m)
-    values = _multipliers(spec.xi, m)
-    # the vectors (1, ..., 1, r) alone number as many as the chain's values
-    # up to m - k + 1, so past MAX_INPUTS of those the chain is not built
-    chain = list(islice(values, MAX_INPUTS + 1))
-    if len(chain) > MAX_INPUTS and chain[-1] <= m - k + 1:
-        raise ValueError(
-            f"k={k}, M={m} has >= {len(chain)} inputs over the jitter chain, "
-            f"more than the {MAX_INPUTS} that can be enumerated"
-        )
-    chain.extend(values)
-    words = _run_vectors(k, m, chain)
+    words = _run_vectors(k, m, _multipliers(spec.xi, m))
     return Codebook(k, m, spec, "jitter", tuple(words))
 
 
@@ -198,11 +186,7 @@ def _ratio_ascent(m: int, xi: Fraction) -> list[tuple[int, int]]:
     p, q = xi.numerator**2, xi.denominator**2
     words, a, b = [], 0, 1  # ratio 0 admits the first pair
     while pair := _next_pair(a, b, m):
-        if len(words) == MAX_INPUTS:
-            raise ValueError(
-                f"k=2, M={m} has >= {MAX_INPUTS + 1} codewords, more than the "
-                f"{MAX_INPUTS} that can be enumerated"
-            )
+        _check_size(len(words) + 1, 2, m, ">= {} codewords")
         words.append(pair)
         a, b = p * pair[1], q * pair[0]  # xi^2 * x2/x1
     return words
@@ -224,11 +208,7 @@ def code_jitter_bounded_drift(m: int, xi, gamma) -> Codebook:
     step = INFINITY if spec.unbounded_drift else spec.gamma * spec.xi
     chain = geometric_multipliers(step, m // 2)
     sizes = [bisect_right(chain, m // (x1 + x2)) for x1, x2 in bases]
-    if sum(sizes) > MAX_INPUTS:
-        raise ValueError(
-            f"k=2, M={m} has {sum(sizes)} codewords, more than the "
-            f"{MAX_INPUTS} that can be enumerated"
-        )
+    _check_size(sum(sizes), 2, m, "{} codewords")
     words = ((c * x1, c * x2) for (x1, x2), n in zip(bases, sizes) for c in chain[:n])
     return Codebook.build(2, m, spec, "jitter-bounded-drift", words)
 

@@ -8,7 +8,8 @@ independently by a jitter factor Z_i in [1, xi].  Only the ratios gamma and xi
 matter, so both are stored as exact rationals; gamma may be infinite.
 
 Everything here is immutable and exact: no floating point enters code
-construction or pairwise checks.
+construction or pairwise checks.  Every builder lists its inputs or words,
+and refuses past MAX_INPUTS of them through the one size guard here.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import islice
 from typing import Iterable, Sequence, Union
 
 import numpy as np
@@ -60,8 +62,9 @@ REGIMES = {
     "custom": None,
 }
 
-#: Most input vectors enumerate_inputs builds.  The M=1024 builds need
-#: C(1024, 2) = 523 776; C(100000, 2) would take minutes and gigabytes.
+#: Most inputs, runs per input or words any builder lists, read by the one
+#: guard at each call.  The M=1024 builds need C(1024, 2) = 523 776;
+#: C(100000, 2) would take minutes and gigabytes.
 MAX_INPUTS = 2_000_000
 
 # Integers below this fit an int64 with room to spare: the run values of
@@ -248,6 +251,17 @@ class Codebook:
         return i < len(self.codewords) and self.codewords[i] == runs
 
 
+def _check_size(count: int, k: int, m: int, what: str, *fields) -> None:
+    """The one size guard: refuse a count past MAX_INPUTS, read at each call.
+    what, formatted with count and fields, says what was counted; the text
+    is built only on refusal, as some builders check once per word."""
+    if count > MAX_INPUTS:
+        raise ValueError(
+            f"k={k}, M={m} has {what.format(count, *fields)}, more than the "
+            f"{MAX_INPUTS} that can be enumerated"
+        )
+
+
 def enumerate_inputs(k: int, m: int) -> list[Runs]:
     """All vectors of k positive runs summing to <= m, lexicographically sorted.
 
@@ -260,56 +274,48 @@ def enumerate_inputs(k: int, m: int) -> list[Runs]:
     last, count = min(k, m - k), 1
     for i in range(1, last + 1):
         count = count * (m - i + 1) // i
-        if count > MAX_INPUTS:
-            raise ValueError(
-                f"k={k}, M={m} has C(M, k) {'=' if i == last else '>='} {count} "
-                f"inputs, more than the {MAX_INPUTS} that can be enumerated"
-            )
+        _check_size(count, k, m, "C(M, k) {1} {0} inputs", "=" if i == last else ">=")
     return _run_vectors(k, m, range(1, m + 1))
 
 
-def _check_frame(k: int, m: int) -> None:
-    """Refuse k < 1 pulses, a frame of m < k bins, which holds no input, and
-    more than MAX_INPUTS pulses, whose single input is too long to build."""
+def _run_vectors(k: int, m: int, alphabet: Iterable[int]) -> list[Runs]:
+    """Vectors of k runs from an ascending iterable of run values up to m,
+    holding 1, summing to <= m, in lexicographic order.  Refuses k < 1, m < k
+    (no inputs) and more than MAX_INPUTS runs per input, values up to
+    m - k + 1 (after MAX_INPUTS + 1 are drawn) or vectors (each level is
+    counted before any vector is built)."""
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     if m < k:
         raise EmptyDomainError(f"no inputs with {k} pulses in {m} bins")
-    if k > MAX_INPUTS:
-        raise ValueError(
-            f"k={k}, M={m} has {k} runs per input, more than the {MAX_INPUTS} "
-            "that can be enumerated"
-        )
-
-
-def _run_vectors(k: int, m: int, alphabet: Sequence[int]) -> list[Runs]:
-    """Vectors of k runs from a sorted alphabet holding 1, summing to <= m,
-    in lexicographic order.  Raises ValueError past MAX_INPUTS, counting
-    every level before any vector is built."""
-    _check_frame(k, m)
+    _check_size(k, k, m, "{} runs per input")
+    rest = iter(alphabet)
+    drawn = list(islice(rest, MAX_INPUTS + 1))
+    if drawn[-1] <= m - k + 1:
+        # the vectors (1, ..., 1, r) alone number as many as these values
+        _check_size(len(drawn), k, m, ">= {} inputs")
+    # any values left are past m - k + 1: fewer than k, and in no vector
+    drawn.extend(rest)
     # each prefix extends, in order, by every run that leaves a bin for each
     # run still to come, and has a completion (all later runs 1), so no level
     # outnumbers the vectors; the counts need only the bins each prefix
     # leaves, so every level is counted from those before a tuple exists
-    values = np.fromiter(alphabet, np.int64 if m < _INT64_GUARD else object, len(alphabet))
+    values = np.fromiter(drawn, np.int64 if m < _INT64_GUARD else object, len(drawn))
     left = np.array([m], dtype=values.dtype)
     levels = []
     for later in range(k - 1, -1, -1):
         ends = np.searchsorted(values, left - later, side="right")
-        count = int(ends.sum())
-        if count > MAX_INPUTS:
-            raise ValueError(
-                f"k={k}, M={m} has {'>=' if later else '='} {count} inputs over "
-                f"{len(alphabet)} run values, more than the {MAX_INPUTS} that "
-                "can be enumerated"
-            )
+        _check_size(
+            int(ends.sum()), k, m, "{1} {0} inputs over {2} run values",
+            ">=" if later else "=", len(drawn),
+        )
         levels.append(ends.tolist())
         if later:
             # the bins each prefix of the next level leaves
             left = np.repeat(left, ends) - values[_block_offsets(ends)]
     vectors = [()]
     for ends in levels:
-        vectors = [v + (r,) for v, end in zip(vectors, ends) for r in alphabet[:end]]
+        vectors = [v + (r,) for v, end in zip(vectors, ends) for r in drawn[:end]]
     return vectors
 
 

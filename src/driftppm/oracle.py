@@ -46,8 +46,8 @@ class MisResult:
 
     ``nodes`` counts the search nodes expanded.  ``bound`` caps the maximum
     independent set size: the sum over components of the cliques in the
-    root node's cover, or of the vertex count where the budget refused the
-    root; so ``size <= maximum <= bound`` whatever the status.
+    root node's cover, which is built under any budget, so the bound does
+    not depend on it and ``size <= maximum <= bound`` whatever the status.
     """
 
     indices: tuple[int, ...]
@@ -152,8 +152,8 @@ def _greedy_seed(neighbors, comp: int) -> list[int]:
 
 def _mis_component(neighbors, comp: int, budget: _Budget) -> tuple[list[int], int]:
     """A maximum independent set of one component, or the best within
-    budget, and the root node's clique cover count (the vertex count if the
-    budget refused the root): no independent set of comp is larger."""
+    budget, and the root node's clique cover count, built whether or not
+    the budget expands the root: no independent set of comp is larger."""
     if not comp & (comp - 1):
         # a lone vertex: its root node is the whole search
         budget.tick()
@@ -171,12 +171,12 @@ def _mis_component(neighbors, comp: int, budget: _Budget) -> tuple[list[int], in
     # lets the very first bound checks prune
     full = (1 << len(order)) - 1
     best = _greedy_seed(local, full)
-    if not budget.tick():
-        return [order[v] for v in best], len(order)
+    # the root's cover ticks no budget, so any budget gets its bound; an
+    # empty list means a cover of len(best) cliques, no fewer than best needs
     branches = _clique_cover(full, local, len(best))
-    # an empty list means a cover of at most len(best) cliques, which can
-    # be no fewer than an independent set has vertices
     bound = branches[-1][1] if branches else len(best)
+    if not budget.tick():
+        return [order[v] for v in best], bound
     # one frame per search node: [candidates left, (vertex, cover index)
     # pairs not yet branched on]; current holds one vertex per child frame.
     # A frame's cover leaves out its first len(best) - len(current) cliques:
@@ -249,7 +249,7 @@ def max_independent_set(
     depends only on the graph and the node budget.  Budget exhaustion is
     reported as a status, not an error; ``nodes`` counts the nodes expanded,
     whatever the status, and that many as a node budget reproduces the result.
-    ``bound`` caps the optimum from the root nodes' covers (see MisResult).
+    ``bound`` caps the optimum at any budget, from the root covers (see MisResult).
     """
     budget = _Budget(node_budget, time_budget)
     chosen: list[int] = []

@@ -1,5 +1,6 @@
 import functools
 import math
+import re
 import time
 from bisect import bisect_right
 from fractions import Fraction as F
@@ -383,18 +384,42 @@ class TestCodeJitterBoundedDrift:
 class TestSizeGuard:
     """The builders that do not go through enumerate_inputs count first."""
 
+    @pytest.mark.parametrize(
+        "build, what",
+        [
+            (lambda: enumerate_inputs(3, 10), "k=3, M=10 has C(M, k) >= 10 inputs"),
+            (lambda: enumerate_inputs(6, 6), "k=6, M=6 has 6 runs per input"),
+            # chain 1, 3, 7: three values fit, eight pairs of them
+            (lambda: code_jitter(2, 10, 2), "k=2, M=10 has = 8 inputs over 3 run values"),
+            (lambda: code_jitter(1, 10, 1), "k=1, M=10 has >= 6 inputs"),
+            (lambda: code_jitter_unbounded_drift(65, F(21, 20)), "k=2, M=65 has >= 6 codewords"),
+            # five bases, whose chains hold seven words
+            (lambda: code_jitter_bounded_drift(30, 2, 1), "k=2, M=30 has 7 codewords"),
+        ],
+        ids=["binomial", "runs", "levels", "jitter-chain", "ascent", "drift-chains"],
+    )
+    def test_one_patch_moves_every_limit(self, monkeypatch, build, what):
+        build()
+        monkeypatch.setattr(core, "MAX_INPUTS", 5)
+        text = f"{what}, more than the 5 that can be enumerated"
+        with pytest.raises(ValueError, match=f"^{re.escape(text)}$"):
+            build()
+
+    def test_constructions_binds_no_limit(self):
+        assert not hasattr(constructions, "MAX_INPUTS")
+
     def test_word_limits_are_inclusive(self, monkeypatch):
         # at xi = 21/20 the ascent picks 82 bases, whose chains hold 110 words
         unbounded = functools.partial(code_jitter_unbounded_drift, 65, F(21, 20))
         bounded = functools.partial(code_jitter_bounded_drift, 65, F(21, 20), F(7, 4))
-        monkeypatch.setattr(constructions, "MAX_INPUTS", 110)
+        monkeypatch.setattr(core, "MAX_INPUTS", 110)
         assert len(bounded()) == 110
-        monkeypatch.setattr(constructions, "MAX_INPUTS", 109)
+        monkeypatch.setattr(core, "MAX_INPUTS", 109)
         with pytest.raises(ValueError, match="^k=2, M=65 has 110 codewords, more than the 109 "):
             bounded()
-        monkeypatch.setattr(constructions, "MAX_INPUTS", 82)
+        monkeypatch.setattr(core, "MAX_INPUTS", 82)
         assert len(unbounded()) == 82
-        monkeypatch.setattr(constructions, "MAX_INPUTS", 81)
+        monkeypatch.setattr(core, "MAX_INPUTS", 81)
         for build in (unbounded, bounded):
             with pytest.raises(ValueError, match="^k=2, M=65 has >= 82 codewords, more than the 81 "):
                 build()
@@ -426,12 +451,20 @@ class TestSizeGuard:
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_jitter_chain_limit_is_inclusive(self, monkeypatch, k):
-        # at xi = 1 the chain's values up to M - k + 1 are 1 .. M - k + 1
-        monkeypatch.setattr(constructions, "MAX_INPUTS", 30 - k + 1)
-        assert code_jitter(k, 30, 1).codewords == tuple(enumerate_inputs(k, 30))
-        monkeypatch.setattr(constructions, "MAX_INPUTS", 30 - k)
-        text = f"k={k}, M=30 has >= {31 - k} inputs over the jitter chain, more than the {30 - k}"
-        with pytest.raises(ValueError, match=f"^{text}"):
+        # at xi = 1 the chain's values up to M - k + 1 are 1 .. M - k + 1; at
+        # that many they pass, and k > 1 pulses are refused by their level
+        # counts, over all 30 values even where the 30th was not yet drawn
+        monkeypatch.setattr(core, "MAX_INPUTS", 30 - k + 1)
+        if k == 1:
+            assert code_jitter(k, 30, 1).codewords == tuple(enumerate_inputs(k, 30))
+        else:
+            count = {2: "= 435", 3: ">= 406"}[k]
+            text = f"k={k}, M=30 has {count} inputs over 30 run values, more than the {31 - k} "
+            with pytest.raises(ValueError, match=f"^{text}"):
+                code_jitter(k, 30, 1)
+        monkeypatch.setattr(core, "MAX_INPUTS", 30 - k)
+        text = f"k={k}, M=30 has >= {31 - k} inputs, more than the {30 - k} that can be enumerated"
+        with pytest.raises(ValueError, match=f"^{text}$"):
             code_jitter(k, 30, 1)
 
     def test_jitter_chain_refused_before_it_is_built(self, monkeypatch):
@@ -445,8 +478,9 @@ class TestSizeGuard:
 
         multipliers = constructions._multipliers
         monkeypatch.setattr(constructions, "_multipliers", counted)
-        monkeypatch.setattr(constructions, "MAX_INPUTS", 1000)
-        with pytest.raises(ValueError, match=r"^k=1, M=100000000 has >= 1001 inputs"):
+        monkeypatch.setattr(core, "MAX_INPUTS", 1000)
+        text = "k=1, M=100000000 has >= 1001 inputs, more than the 1000 that can be enumerated"
+        with pytest.raises(ValueError, match=f"^{text}$"):
             code_jitter(1, 10**8, 1)
         assert drawn == list(range(1, 1002))
         with pytest.raises(ValueError, match="k must be >= 1"):

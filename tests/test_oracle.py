@@ -226,12 +226,18 @@ class TestRootBound:
         res = max_independent_set(g, node_budget=budget)
         assert res.size <= brute_force_mis_size(g) <= res.bound <= g.n
 
-    def test_refused_roots_count_their_vertices(self):
-        # a triangle, an edge and a lone vertex: with no node to spend no
-        # root is expanded, so each component counts all its vertices
+    def test_refused_roots_count_their_cover(self):
+        # a triangle, an edge and a lone vertex: one clique each, whether or
+        # not the budget expands a root
         g = graph_from_edges(6, [(0, 1), (1, 2), (0, 2), (3, 4)])
-        assert max_independent_set(g, node_budget=0).bound == 6
-        assert max_independent_set(g).bound == 3
+        for budget in (0, 1, 2, 3, None):
+            assert max_independent_set(g, node_budget=budget).bound == 3
+
+    def test_headline_bound_under_a_budget(self):
+        # 198 words found in ten nodes; the root covers cap the optimum at 237
+        g = confusion_graph(enumerate_inputs(2, 65), ChannelSpec(F(21, 20), F(7, 4)))
+        res = max_independent_set(g, node_budget=10)
+        assert (res.status, res.nodes, res.size, res.bound) == (BUDGET_EXCEEDED, 10, 198, 237)
 
     @pytest.mark.parametrize(
         "m, nodes, size, bound", [(18, 856, 13, 14), (22, 19_735, 14, 16)]

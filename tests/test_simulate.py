@@ -417,6 +417,16 @@ class TestTrialCounts:
         with pytest.raises(TypeError, match="^trials must be an int, got "):
             run_uniform_roundtrips(book, trials, seed=1, t_cap=2)
 
+    @pytest.mark.parametrize(
+        "seed", [True, 1.0, "1", None, F(1)], ids=["True", "float", "str", "None", "Fraction"]
+    )
+    def test_non_int_seeds_refused(self, seed):
+        # the stream key hashes the seed's text: "1" would replay seed 1
+        with pytest.raises(TypeError, match="^seed must be an int, got "):
+            run_uniform_roundtrips(code_gcd(2, 10), 5, seed=seed, t_cap=2)
+        with pytest.raises(TypeError, match="^seed must be an int, got "):
+            channel_module.sample_realization(ChannelSpec(2, F(7, 4)), 2, seed)
+
     @pytest.mark.parametrize("k", [40, 62])
     def test_few_trials_reach_few_corners(self, k):
         # 2^(k+1) corners: only the ten that ten trials of one word reach
