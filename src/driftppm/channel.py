@@ -46,6 +46,9 @@ __all__ = [
 # Bits of the uniform grid: exact rationals, float-dense coverage at 53.
 _GRID_BITS = 53
 
+#: Drift cap of the unbounded-drift corners unless one is given.
+DEFAULT_T_CAP = Fraction(8)
+
 
 @dataclass(frozen=True)
 class ChannelRealization:
@@ -227,5 +230,7 @@ def sample_realization(
 def endpoint_realizations(
     spec: ChannelSpec, k: int, t_cap=None
 ) -> Iterator[ChannelRealization]:
-    """All 2^(k+1) corner realizations, in the index order of the round trips."""
+    """All 2^(k+1) corner realizations, in the index order of the round
+    trips and, unless t_cap is given, with their drift cap DEFAULT_T_CAP."""
+    t_cap = DEFAULT_T_CAP if t_cap is None else t_cap
     yield from _realizations(spec, 0, t_cap, _corner_rows(k, 2 << k).tolist())

@@ -9,6 +9,8 @@ codebook and an in-spec observation exactly one codeword survives.
 The fast decoder follows the structured procedure that core.REGIMES names
 for the codebook's tag instead: ratio lookup plus a multiplier window for the
 drift-chain codes, and independent per-run windows for the no-drift codes.
+The alphabet decoder returns every codeword whose runs each lie in their
+window [a_i*q/(p*d), b_i/d]: under gamma = 1, exactly the consistent ones.
 Both decoders are exact; float observations widen every comparison by a
 relative tolerance.
 
@@ -17,25 +19,25 @@ float is taken at its exact binary value (float.as_integer_ratio), the
 values go over one common denominator, the tolerance u/w is applied to the
 integer numerators, and one gcd brings all bounds to lowest common terms.
 
-Every decoder but the scalar alphabet one draws its candidates from one
-index: the codewords sorted by their first ratio x_2/x_1 as a float.  A
-consistent codeword's exact ratio x_c/x_1 lies in [a_c*q/(b_1*p),
-b_c*p/(a_1*q)] for an observation [a, b] and jitter xi = p/q, so the
-candidates are the words whose float keys lie in those windows, widened by
-the margin stated in distinguish._MARGIN; without jitter an exact
-observation's window is one key wide.  With two runs the index is one sorted
-key, read as one range.  With three or more it windows x_3/x_1 too: the
-words sorted by first ratio are cut into cells, each at least one window of
-the codebook's own xi wide, and the words of a cell are sorted by x_3/x_1.
-A window of the first ratio then spans at most two cells under the
-codebook's spec, more under a looser one, and every cell it spans is read
-over the range of x_3/x_1 ranks in the second window.  The cell of a key is
-one monotone function, the same for word keys and window ends, so every word
-in both float windows is read.  Ratios past the third are left to the exact
-tests.  With one run, or where runs or xi reach 2^53, every word is a
-candidate.  The decoders share only which words they look at: each decides
-membership exactly, on its own.  The scalar alphabet decoder looks each run
-up in the sorted run values instead.
+Every decoder draws its candidates from one index: the codewords sorted by
+their first ratio x_2/x_1 as a float.  A consistent codeword's exact ratio
+x_c/x_1 lies in [a_c*q/(b_1*p), b_c*p/(a_1*q)] for an observation [a, b] and
+jitter xi = p/q, so the candidates are the words whose float keys lie in
+those windows, widened by the margin stated in distinguish._MARGIN; without
+jitter an exact observation's window is one key wide.  With two runs the
+index is one sorted key, read as one range.  With three or more it windows
+x_3/x_1 too: the words sorted by first ratio are cut into cells, each at
+least one window of the codebook's own xi wide, and the words of a cell are
+sorted by x_3/x_1.  A window of the first ratio then spans at most two cells
+under the codebook's spec, more under a looser one, and every cell it spans
+is read over the range of x_3/x_1 ranks in the second window.  The cell of a
+key is one monotone function, the same for word keys and window ends, so
+every word in both float windows is read.  Ratios past the third are left to
+the exact tests.  With one run, or where runs or xi reach 2^53, every word
+is a candidate.  The decoders share only which words they look at: each
+decides membership exactly, on its own.  The scalar alphabet decoder reads
+the index only when a run's window holds several run values; otherwise it
+looks each run up in the sorted run values.
 
 A round-trip driver decodes many exact point observations of one codebook
 at once through Decoder.decode_points: the same exact predicates, evaluated
@@ -52,8 +54,9 @@ float keys the observation's own, so at k >= 3 a jitterless window is read
 exactly: the one cell of the observation's first key, at the rank of its
 x_3/x_1 key.
 
-Out-of-spec signals raise NoCodewordError -- a receiver-side convention, not
-a channel-model claim; ambiguity always raises, never tie-breaks.
+Decoder methods return every match.  Only decode and decode_fast raise:
+NoCodewordError for an out-of-spec signal (a receiver-side convention, not a
+channel-model claim), AmbiguityError for several matches, never tie-breaking.
 """
 
 from __future__ import annotations
@@ -151,7 +154,8 @@ def _float_window(a, b, p, q, c):
 
 
 class Decoder:
-    """Per-codebook decode indexes; build once, query many times.
+    """Per-codebook decode indexes; build once, query many times.  Its
+    decoders return every match; only decode and decode_fast raise.
 
     The codebook is held weakly, so a cached decoder does not keep it alive.
     """
@@ -239,7 +243,8 @@ class Decoder:
         return sorted({run for w in self.words for run in w})
 
     def fast_ints(self, a, b, d, p, q, g, h) -> list[Runs]:
-        """Structured decode; returns the list of matches (want exactly one)."""
+        """Structured decode: the sorted matches, none or several included;
+        the alphabet decoder's are the words with every run in its window."""
         structure = REGIMES[self.regime]
         if structure == "chain":
             return self._fast_chain(a, b, d, p, q, g, h)
@@ -266,18 +271,19 @@ class Decoder:
         return matches
 
     def _fast_alphabet(self, a, b, d, p, q):
-        # no drift: each run decodes on its own window [l, xi*l]
-        alphabet = self._alphabet
+        # no drift: a codeword matches when each run x_i lies in its own
+        # window [a_i*q/(p*d), b_i/d]; every run is an integer
+        alphabet, pd = self._alphabet, p * d
         runs = []
         for i in range(self.k):
-            # every run is an integer: p*d*l >= a_i*q and d*l <= b_i
-            i0 = bisect_left(alphabet, -(-a[i] * q // (p * d)))
+            i0 = bisect_left(alphabet, -(-a[i] * q // pd))
             i1 = bisect_right(alphabet, b[i] // d)
-            if i1 == i0:
-                return []
-            if i1 - i0 > 1:
-                raise AmbiguityError(
-                    f"run {i + 1} matches several alphabet values", ()
+            if i1 - i0 != 1:
+                # no value fits, or several do: then the words the index
+                # holds are tested run by run
+                return [] if i1 == i0 else sorted(
+                    w for w in self._candidates(a, b, p, q)
+                    if all(ai * q <= pd * x and d * x <= bi for ai, bi, x in zip(a, b, w))
                 )
             runs.append(alphabet[i0])
         word = tuple(runs)
@@ -303,7 +309,7 @@ class Decoder:
         each read as obs/d; (p, q, g, h) is ChannelSpec.ints.  Returns
         (general, structured, candidates): per row, the index in self.words
         of the one codeword that consistent_ints, and fast_ints, would
-        return, or -1 when either would return none or several, or raise;
+        return, or -1 when either would return none or several;
         structured is None for a regime without a structured decoder.
         candidates counts the (row, word) pairs that every decoder tests.
 
@@ -320,12 +326,6 @@ class Decoder:
         counts = np.zeros((2, rows), dtype=np.int64)
         found = np.full((2, rows), -1, dtype=np.int64)
         gpd, hq, pd = g * p * d, h * q, p * d
-        if structure == "alphabet":
-            # _fast_alphabet: the rows whose every run window [a_i*q/(p*d),
-            # a_i/d] holds exactly one alphabet value
-            alphabet = self._alphabet_column.astype(obs.dtype, copy=False)
-            lo = np.searchsorted(alphabet, -(-a_cols * q // pd))
-            single = (np.searchsorted(alphabet, a_cols // d, side="right") - lo == 1).all(0)
         order, row, starts, ends = self._point_windows(a_cols, p, q)
         candidates = 0
         for s, w in _window_pairs(order, starts, ends):
@@ -363,11 +363,8 @@ class Decoder:
             elif structure == "alphabet":
                 # _fast_alphabet: every run in its window, so every ratio in
                 # its window and, as gamma >= 1, the first run in its drift
-                # window; at most one word passes in a single row
-                alphabet_hit = single[r]
-                for i in range(k):
-                    alphabet_hit &= (d * x[i] <= a[i]) & (a[i] * q <= pd * x[i])
-                hits.append(alphabet_hit)
+                # window
+                hits.append(((d * x <= a) & (a * q <= pd * x)).all(0))
             for t, hit in enumerate(hits):
                 counts[t] += np.bincount(r[hit], minlength=rows)
                 found[t, r[hit]] = w[hit]
@@ -426,11 +423,6 @@ class Decoder:
         base = (j0[row] + _block_offsets(cells)) * n
         ends = np.searchsorted(keys, base + hi[row])
         return order, row, np.searchsorted(keys, base + lo[row]), ends
-
-    @cached_property
-    def _alphabet_column(self):
-        # _alphabet as an array, in the dtype _word_columns chooses
-        return np.array(self._alphabet, dtype=np.int64 if self._top < _INT64_GUARD else object)
 
     @cached_property
     def _ratio_keys(self):

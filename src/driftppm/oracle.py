@@ -84,23 +84,21 @@ class _Budget:
 
 
 def _components(neighbors: Sequence[int], n: int) -> list[int]:
+    # a component's neighbours lie in it, so no earlier component is reached
     remaining = (1 << n) - 1
     comps = []
     while remaining:
-        seed = remaining & -remaining
-        comp = 0
-        frontier = seed
+        comp = frontier = remaining & -remaining
         while frontier:
-            comp |= frontier
             grown = 0
-            f = frontier
-            while f:
-                v = (f & -f).bit_length() - 1
-                grown |= neighbors[v]
-                f &= f - 1
-            frontier = grown & remaining & ~comp
+            while frontier:
+                low = frontier & -frontier
+                grown |= neighbors[low.bit_length() - 1]
+                frontier ^= low
+            frontier = grown & ~comp
+            comp |= frontier
         comps.append(comp)
-        remaining &= ~comp
+        remaining ^= comp
     return comps
 
 

@@ -23,19 +23,16 @@ trials, to word the report's examples.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Optional
 
 import numpy as np
 
 from .core import REGIMES, ChannelSpec, Codebook
 from . import channel
-from .decode import AmbiguityError, get_decoder
+from .channel import DEFAULT_T_CAP
+from .decode import get_decoder
 
 __all__ = ["TrialReport", "DEFAULT_T_CAP", "run_endpoint_roundtrips", "run_uniform_roundtrips"]
-
-#: Drift corner used for unbounded-drift codebooks unless a cap is given.
-DEFAULT_T_CAP = Fraction(8)
 
 
 @dataclass
@@ -121,10 +118,7 @@ def _run_batches(decoder, spec, trials, d, scale, batches, n_corners=0):
         if matches != [x]:
             report.add_example(x, f"general decode gave {matches}")
         if structured:
-            try:
-                fast = decoder.fast_ints(a, a, d, *ints)
-            except AmbiguityError:
-                fast = None
+            fast = decoder.fast_ints(a, a, d, *ints)
             if fast != [x]:
                 report.add_example(x, f"structured decode gave {fast}")
     return report

@@ -5,8 +5,9 @@ component, one vertex or many, is renumbered and searched from a stack; and
 the pair scan feeding the graph sorts its pair keys.  The tests check that
 `driftppm.oracle.max_independent_set` expands the same nodes and returns
 the same set, and that `driftppm.distinguish.confusion_graph` gives the
-same neighbour masks.  The component split, the renumbering, the greedy
-incumbent, the budget and the pair kernel are shared with the package.
+same neighbour masks.  The component walk here also masks each level by the
+vertices not yet in a component.  The renumbering, the greedy incumbent, the
+budget and the pair kernel are shared with the package.
 """
 
 import numpy as np
@@ -17,10 +18,32 @@ from driftppm.oracle import (
     BUDGET_EXCEEDED,
     EXACT,
     _Budget,
-    _components,
     _greedy_seed,
     _renumber,
 )
+
+
+def components(neighbors, n):
+    """Connected components as vertex masks, lowest vertex first, each
+    grown level by level from its lowest vertex."""
+    remaining = (1 << n) - 1
+    comps = []
+    while remaining:
+        seed = remaining & -remaining
+        comp = 0
+        frontier = seed
+        while frontier:
+            comp |= frontier
+            grown = 0
+            f = frontier
+            while f:
+                v = (f & -f).bit_length() - 1
+                grown |= neighbors[v]
+                f &= f - 1
+            frontier = grown & remaining & ~comp
+        comps.append(comp)
+        remaining &= ~comp
+    return comps
 
 
 def clique_cover(candidates, neighbors):
@@ -80,7 +103,7 @@ def max_independent_set(graph, node_budget=None, time_budget=None):
     """(indices, status, nodes), as `driftppm.oracle.MisResult` carries them."""
     budget = _Budget(node_budget, time_budget)
     chosen = []
-    for comp in _components(graph.neighbors, graph.n):
+    for comp in components(graph.neighbors, graph.n):
         chosen.extend(mis_component(graph.neighbors, comp, budget))
     status = BUDGET_EXCEEDED if budget.exhausted else EXACT
     return tuple(sorted(chosen)), status, budget.nodes

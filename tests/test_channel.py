@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction as F
 
@@ -7,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from driftppm.core import INFINITY, ChannelSpec
 from driftppm.channel import (
+    DEFAULT_T_CAP,
     ChannelRealization,
     ObservedSignal,
     _corner_rows,
@@ -108,11 +110,19 @@ class TestEndpoints:
         with pytest.raises(ValueError, match="^k must be >= 1, got 0$"):
             _corner_rows(0, 2)
 
-    def test_unbounded_drift_needs_cap(self):
-        spec = ChannelSpec(1, INFINITY)
-        with pytest.raises(ValueError):
-            list(endpoint_realizations(spec, 2))
-        r = list(endpoint_realizations(spec, 2, t_cap=5))[1]
+    def test_unbounded_drift_corners_default_to_the_round_trip_cap(self):
+        # the corners the endpoint round trips use, with no cap given
+        unbounded = (ChannelSpec(1, INFINITY), ChannelSpec(2, INFINITY))
+        for spec, k in itertools.product(unbounded, (1, 2, 3)):
+            corners = list(endpoint_realizations(spec, k))
+            assert corners == list(endpoint_realizations(spec, k, t_cap=DEFAULT_T_CAP))
+            d, _, factors = grid_ints(spec, 0, DEFAULT_T_CAP)
+            table = factors(_corner_rows(k, 2 << k)).tolist()
+            assert [[r.t * z for z in r.z] for r in corners] == [
+                [F(c, d) for c in row] for row in table
+            ]
+            assert corners[1].t == DEFAULT_T_CAP
+        r = list(endpoint_realizations(ChannelSpec(1, INFINITY), 2, t_cap=5))[1]
         assert r.t == 5
 
 

@@ -40,6 +40,7 @@ from driftppm.decode import (
     _normalize_signal,
 )
 from driftppm.distinguish import _MARGIN
+from driftppm.oracle import verify_zero_error
 from driftppm.simulate import run_endpoint_roundtrips, run_uniform_roundtrips
 
 
@@ -129,6 +130,18 @@ class TestDecodeFast:
             np.array([[top, top]]), 1, *cb.spec.ints
         )
         assert (general.tolist(), structured.tolist()) == ([-1], [-1])
+
+    def test_several_alphabet_values_in_one_run_window(self):
+        # (2, 1) is (1, 1) under Z = (2, 1): run 1's window [1, 2] holds the
+        # run values 1 and 2, but only (1, 1) fits both windows
+        book = Codebook(2, 10, ChannelSpec(2, 1), "jitter", ((1, 1), (2, 3)))
+        assert verify_zero_error(book).ok
+        y = exact(2, 1)
+        assert decode_fast(y, book) == (1, 1) == decode(y, book)
+        general, structured, _ = get_decoder(book).decode_points(
+            np.array([[2, 1]]), 1, *book.spec.ints
+        )
+        assert (general.tolist(), structured.tolist()) == ([0], [0])
 
     def test_ratio_interval_lookup(self):
         cb = code_jitter_unbounded_drift(65, F(3, 2))
@@ -570,6 +583,51 @@ class TestFastMatchesGeneral:
             assert general == [word]
 
 
+@st.composite
+def _alphabet_books(draw):
+    """Random books tagged for the alphabet decoder, under a gamma = 1 spec."""
+    k = draw(st.integers(1, 3))
+    m = draw(st.integers(k, 14))
+    spec = ChannelSpec(draw(st.sampled_from([F(1), F(21, 20), F(3, 2), F(2), F(3)])), 1)
+    words = draw(st.lists(st.sampled_from(enumerate_inputs(k, m)), min_size=1, max_size=30))
+    return Codebook.build(k, m, spec, draw(st.sampled_from(["jitter", "perfect-sync"])), words)
+
+
+class TestAlphabetWindows:
+    """Without drift a word fits an observation exactly when each run lies
+    in its own window; the alphabet decoder returns those words, which are
+    the consistent ones, whether or not the book is zero-error."""
+
+    @given(_alphabet_books(), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_are_the_consistent_words(self, book, data):
+        decoder, spec_ints = Decoder(book), book.spec.ints
+        unit = st.fractions(0, 1, max_denominator=8)
+        observations = []
+        for _ in range(data.draw(st.integers(1, 6))):
+            if data.draw(st.booleans()):
+                value = st.fractions(F(1, 2), 16, max_denominator=6)
+                observations.append([data.draw(value) for _ in range(book.k)])
+                continue
+            # any input of the frame, at a corner or inside its jitter box
+            word = data.draw(st.sampled_from(enumerate_inputs(book.k, book.m)))
+            z = st.one_of(st.sampled_from([F(0), F(1)]), unit)
+            observations.append([(1 + (book.spec.xi - 1) * data.draw(z)) * x for x in word])
+        for values in observations:
+            signal = exact(*values)
+            for seen in (signal, signal.as_floats()):
+                a, b, d = _normalize_signal(seen, None)
+                fast = decoder.fast_ints(a, b, d, *spec_ints)
+                assert fast == decoder.consistent_ints(a, b, d, *spec_ints)
+
+        d = math.lcm(*(v.denominator for values in observations for v in values))
+        rows = [[int(v * d) for v in values] for values in observations]
+        dtype = decoder.point_dtype(max(map(max, rows)), d, *spec_ints)
+        obs = np.array(rows, dtype=data.draw(st.sampled_from([dtype, object])))
+        general, structured, _ = decoder.decode_points(obs, d, *spec_ints)
+        assert structured.tolist() == general.tolist()
+
+
 class TestFloatTolerance:
     @given(st.data())
     @settings(max_examples=300, deadline=None)
@@ -610,13 +668,10 @@ def _general_scan(decoder, a, b, d, spec_ints):
 
 
 def _structured_scan(book, a, b, d, spec_ints):
-    """fast_ints with every word a candidate; None where it raises."""
+    """fast_ints with every word a candidate."""
     every = Decoder(book)
     every._candidates = lambda *args: book.codewords
-    try:
-        return every.fast_ints(a, b, d, *spec_ints)
-    except AmbiguityError:
-        return None
+    return every.fast_ints(a, b, d, *spec_ints)
 
 
 @functools.lru_cache(maxsize=None)
@@ -692,7 +747,7 @@ class TestTwoKeyWindow:
         assert candidates >= sum(map(len, scans))
         if structured is not None:
             fast = [_structured_scan(book, a, a, d, spec_ints) for a in rows]
-            assert structured.tolist() == [index[f[0]] if f and len(f) == 1 else -1 for f in fast]
+            assert structured.tolist() == [index[f[0]] if len(f) == 1 else -1 for f in fast]
 
         for values, scan in zip(observations, scans):
             signal = exact(*values)
@@ -701,7 +756,7 @@ class TestTwoKeyWindow:
             a, b, fd = _normalize_signal(floats, None)
             float_scan = _general_scan(decoder, a, b, fd, spec_ints)
             assert consistent_codewords(floats, book, spec) == float_scan
-            if REGIMES[book.regime] == "chain":
+            if REGIMES[book.regime] is not None:
                 fast = _structured_scan(book, a, b, fd, spec_ints)
                 assert decoder.fast_ints(a, b, fd, *spec_ints) == fast
 

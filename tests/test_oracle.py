@@ -18,6 +18,7 @@ from driftppm.distinguish import ConfusionGraph, confusion_graph
 from driftppm.oracle import (
     BUDGET_EXCEEDED,
     EXACT,
+    _components,
     max_independent_set,
     optimal_code_bruteforce,
     ZeroErrorReport,
@@ -217,6 +218,17 @@ class TestSameTreeAsReference:
             res = max_independent_set(g)
             assert (res.size, res.status) == (size, EXACT)
             assert as_reference(res) == reference_oracle.max_independent_set(g)
+
+
+class TestComponents:
+    @given(st.one_of(split_graphs(), small_graphs()))
+    @settings(max_examples=200, deadline=None)
+    def test_same_masks_as_reference(self, g):
+        # against the reference walk, which masks each level by the vertices
+        # left, mask for mask and in the same order
+        comps = _components(g.neighbors, g.n)
+        assert comps == reference_oracle.components(g.neighbors, g.n)
+        assert sum(comps) == (1 << g.n) - 1
 
 
 class TestRootBound:

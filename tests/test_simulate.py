@@ -16,7 +16,8 @@ from driftppm.constructions import (
     code_jitter_unbounded_drift,
     construct,
 )
-from driftppm.decode import AmbiguityError, Decoder
+from driftppm.decode import Decoder
+from driftppm.oracle import verify_zero_error
 from driftppm.simulate import (
     DEFAULT_T_CAP,
     TrialReport,
@@ -42,10 +43,7 @@ def trial_details(decoder, word, factors, spec):
     if got != [word]:
         details.append(f"general decode gave {got}")
     if REGIMES[decoder.regime] is not None:
-        try:
-            fast = decoder.fast_ints(a, a, d, *spec.ints)
-        except AmbiguityError:
-            fast = None
+        fast = decoder.fast_ints(a, a, d, *spec.ints)
         if fast != [word]:
             details.append(f"structured decode gave {fast}")
     return details
@@ -58,7 +56,6 @@ def oracle_report(codebook, spec=None, t_cap=None, trials=None):
     corner_failures has one count per corner the trials reach."""
     spec = codebook.spec if spec is None else spec
     decoder = Decoder(codebook)
-    t_cap = DEFAULT_T_CAP if t_cap is None else t_cap
     corners = [
         [r.t * z for z in r.z] for r in endpoint_realizations(spec, codebook.k, t_cap)
     ]
@@ -177,6 +174,20 @@ class TestEndpointRoundtrips:
         report = run_endpoint_roundtrips(bad)
         assert report.failures > 0
         assert report.examples
+
+    def test_one_default_cap_for_the_corners(self):
+        # the round trips and channel.endpoint_realizations share one cap
+        assert DEFAULT_T_CAP is channel_module.DEFAULT_T_CAP
+
+    def test_several_alphabet_values_in_one_run_window(self):
+        # (2, 1) is (1, 1) under Z = (2, 1); run 1's window [1, 2] holds the
+        # run values 1 and 2, but only (1, 1) fits both windows
+        book = Codebook(2, 10, ChannelSpec(2, 1), "jitter", ((1, 1), (2, 3)))
+        assert verify_zero_error(book).ok
+        report = assert_matches_oracle(book)
+        assert (report.trials, report.failures) == (16, 0)
+        report = assert_uniform_matches_oracle(book, 200, seed=1)
+        assert (report.trials, report.failures) == (200, 0)
 
     def test_wrong_spec_detected(self):
         # a no-drift code exercised under unbounded drift must fail
