@@ -10,6 +10,7 @@ runs and platforms.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from fractions import Fraction
@@ -87,7 +88,10 @@ def _channel_arguments(p, m_required=True) -> None:
     p.add_argument("--gamma", type=_drift, default=INFINITY, help="drift ratio or inf")
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The one parser of the process: parse_args returns a fresh Namespace
+    each call, no default is mutable and no action appends."""
     parser = _Parser(prog="driftppm", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 

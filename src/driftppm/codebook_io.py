@@ -64,7 +64,7 @@ def loads_codebook(text: str) -> Codebook:
     for line in lines[1:]:
         if line.strip():
             try:
-                codewords.append(tuple(int(tok) for tok in line.split()))
+                codewords.append(tuple(map(int, line.split())))
             except ValueError as exc:
                 raise ValueError(f"bad run vector line: {line!r}") from exc
     # accept any order on input; the Codebook checks every run and refuses

@@ -27,6 +27,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from fractions import Fraction
+from itertools import compress, starmap
 from typing import Iterator
 
 from .core import (
@@ -95,7 +96,7 @@ def _by_gcd(k: int, m: int, step) -> tuple[Runs, ...]:
         raise UnsupportedRegimeError(_K1_DRIFT_REASON)
     inputs = enumerate_inputs(k, m)  # refuses an oversized frame first
     chain = set(geometric_multipliers(step, m))
-    return tuple(x for x in inputs if math.gcd(*x) in chain)
+    return tuple(compress(inputs, map(chain.__contains__, starmap(math.gcd, inputs))))
 
 
 def code_gcd(k: int, m: int) -> Codebook:
@@ -184,6 +185,10 @@ def _ratio_ascent(m: int, xi: Fraction) -> list[tuple[int, int]]:
     if m < 2:
         raise EmptyDomainError(f"no two-pulse inputs in {m} bins")
     p, q = xi.numerator**2, xi.denominator**2
+    if p == q:
+        # at xi = 1 every coprime pair is a word, the m - 1 pairs (1, j) among
+        # them: refuse before listing any
+        _check_size(m - 1, 2, m, ">= {} codewords")
     words, a, b = [], 0, 1  # ratio 0 admits the first pair
     while pair := _next_pair(a, b, m):
         _check_size(len(words) + 1, 2, m, ">= {} codewords")

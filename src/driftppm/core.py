@@ -15,11 +15,12 @@ and refuses past MAX_INPUTS of them through the one size guard here.
 from __future__ import annotations
 
 import math
+import operator
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import islice
+from itertools import chain, islice
 from typing import Iterable, Sequence, Union
 
 import numpy as np
@@ -203,7 +204,7 @@ def check_run_vector(runs: Sequence[int], m: int) -> Runs:
 
 
 def format_run_vector(runs: Sequence[int]) -> str:
-    return " ".join(str(r) for r in runs)
+    return " ".join(map(str, runs))
 
 
 @dataclass(frozen=True)
@@ -225,9 +226,23 @@ class Codebook:
             raise ValueError(f"unknown regime {self.regime!r}")
         if self.k < 1 or self.m < self.k:
             raise ValueError(f"need 1 <= k <= m, got k={self.k} m={self.m}")
-        object.__setattr__(self, "codewords", tuple(tuple(cw) for cw in self.codewords))
+        words = tuple(map(tuple, self.codewords))
+        object.__setattr__(self, "codewords", words)
+        # one pass at C level over valid books; plain ints only (type, not
+        # isinstance, so bools and int subclasses take the loop below), and
+        # chained iterators, not a list of every run
+        runs = chain.from_iterable
+        if (
+            set(map(len, words)) <= {self.k}
+            and set(map(type, runs(words))) <= {int}
+            and min(runs(words), default=1) >= 1
+            and max(map(sum, words), default=0) <= self.m
+            and all(map(operator.lt, words, islice(words, 1, None)))
+        ):
+            return
+        # the per-word checks, which word the error
         previous = None
-        for cw in self.codewords:
+        for cw in words:
             if len(cw) != self.k:
                 raise ValueError(f"codeword {cw} does not have k={self.k} runs")
             check_run_vector(cw, self.m)

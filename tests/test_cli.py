@@ -4,7 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from driftppm import core
+from driftppm import cli, core
 from driftppm.cli import main
 from driftppm.codebook_io import dump_codebook, load_codebook
 from driftppm.constructions import code_bounded_drift
@@ -555,12 +555,13 @@ class TestInputSizeGuard:
 
     @pytest.mark.parametrize(
         "xi, text",
-        [("1", "has >= 1001 codewords"), ("21/20", "has 1683 codewords")],
+        [("1", "has >= 99999999999 codewords"), ("21/20", "has 1683 codewords")],
         ids=["bases", "chains"],
     )
     def test_jitter_with_drift_words_counted_first(self, capsys, monkeypatch, xi, text):
-        # at gamma * xi = 1 the chain would hold every multiplier up to M / 2;
-        # at xi = 21/20 the 520 bases fit and their chains are counted
+        # at xi = 1 the ascent would list every coprime pair, the M - 1 pairs
+        # (1, j) among them, and is refused before its first word; at
+        # xi = 21/20 the 520 bases fit and their chains are counted
         monkeypatch.setattr(core, "MAX_INPUTS", 1000)
         start = time.perf_counter()
         code, out, err = run(capsys, "construct", "--k", "2", "--M", "100000000000",
@@ -569,6 +570,17 @@ class TestInputSizeGuard:
         assert (code, out) == (1, "")
         assert err == (
             f"error: k=2, M=100000000000 {text}, more than the 1000 that can be enumerated\n"
+        )
+
+    def test_coprime_bases_refused_before_the_ascent(self, capsys):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "construct", "--k", "2", "--M", "100000000000",
+                             "--xi", "1", "--gamma", "1", "--regime", "jitter-bounded-drift")
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (1, "")
+        assert err == (
+            "error: k=2, M=100000000000 has >= 99999999999 codewords, "
+            "more than the 2000000 that can be enumerated\n"
         )
 
     @pytest.mark.parametrize(
@@ -604,6 +616,29 @@ class TestInputSizeGuard:
             "error: k=1, M=100000000 has >= 2000001 inputs, "
             "more than the 2000000 that can be enumerated\n"
         )
+
+
+class TestParserCache:
+    def test_one_parser_per_process(self):
+        assert cli._build_parser() is cli._build_parser()
+
+    def test_no_state_kept_between_calls(self, capsys, tmp_path):
+        path = tmp_path / "book.code"
+        dump_codebook(code_bounded_drift(2, 65, F(7, 4)), path)
+        calls = [
+            ("verify", "--code", str(path), "--xi", "21/20"),
+            ("verify", "--code", str(path)),  # the file's xi = 1, not 21/20
+            ("construct", "--k", "2", "--xi", "abc"),
+            ("construct", "--k", "2", "--M", "65", "--gamma", "7/4"),
+        ]
+        in_turn = [run(capsys, *argv) for argv in calls]
+        first = []
+        for argv in calls:
+            cli._build_parser.cache_clear()
+            first.append(run(capsys, *argv))
+        assert in_turn == first
+        assert [code for code, _, _ in in_turn] == [2, 0, 1, 0]
+        assert in_turn[1][1] == "pairs=1505980 violations=0\n"
 
 
 class TestUsage:

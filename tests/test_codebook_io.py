@@ -2,6 +2,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from driftppm import core
 from driftppm.core import INFINITY, ChannelSpec, Codebook
 from driftppm.codebook_io import (
     dump_codebook,
@@ -9,7 +10,7 @@ from driftppm.codebook_io import (
     load_codebook,
     loads_codebook,
 )
-from driftppm.constructions import code_bounded_drift, code_gcd
+from driftppm.constructions import code_bounded_drift, code_gcd, code_jitter
 
 
 def test_header_and_rows():
@@ -41,6 +42,17 @@ def test_round_trip_gcd_code(tmp_path):
     path = tmp_path / "book.code"
     dump_codebook(cb, path)
     assert load_codebook(path).codewords == cb.codewords
+
+
+def test_valid_books_skip_the_per_word_checks(monkeypatch):
+    # built and loaded books are validated in one bulk pass; the per-word
+    # check only words the error of a book that fails it
+    def per_word(runs, m):
+        raise AssertionError("per-word check on a valid book")
+
+    monkeypatch.setattr(core, "check_run_vector", per_word)
+    for book in (code_bounded_drift(2, 65, F(7, 4)), code_jitter(3, 30, F(21, 20))):
+        assert loads_codebook(dumps_codebook(book)) == book
 
 
 def test_load_accepts_any_row_order():

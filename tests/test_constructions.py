@@ -424,6 +424,24 @@ class TestSizeGuard:
             with pytest.raises(ValueError, match="^k=2, M=65 has >= 82 codewords, more than the 81 "):
                 build()
 
+    def test_coprime_pair_bound_is_inclusive(self, monkeypatch):
+        # at xi = 1 the M - 1 pairs (1, j) alone are refused before the
+        # ascent; within that bound the ascent counts its words as it lists them
+        coprime = len(code_gcd(2, 65))
+        monkeypatch.setattr(core, "MAX_INPUTS", coprime)
+        assert len(code_jitter_unbounded_drift(65, 1)) == coprime
+        monkeypatch.setattr(core, "MAX_INPUTS", 64)
+        with pytest.raises(ValueError, match="^k=2, M=65 has >= 65 codewords, more than the 64 "):
+            code_jitter_unbounded_drift(65, 1)
+
+        def no_pair(a, b, m):
+            raise AssertionError("the ascent ran")
+
+        monkeypatch.setattr(core, "MAX_INPUTS", 63)
+        monkeypatch.setattr(constructions, "_next_pair", no_pair)
+        with pytest.raises(ValueError, match="^k=2, M=65 has >= 64 codewords, more than the 63 "):
+            code_jitter_unbounded_drift(65, 1)
+
     @pytest.mark.parametrize("k, size", [(2, 1044), (3, 22403)])
     def test_run_vector_limit_is_inclusive(self, monkeypatch, k, size):
         monkeypatch.setattr(core, "MAX_INPUTS", size)

@@ -1,12 +1,14 @@
 import copy
+import enum
 import math
 import pickle
 import re
 from fractions import Fraction as F
 from itertools import combinations
 
+import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from driftppm import core
 from driftppm.core import (
@@ -23,6 +25,7 @@ from driftppm.core import (
     parse_ratio,
     rate_bits,
 )
+from reference_codebook import validate_codewords
 from reference_constructions import gcd_of, ratio_vector
 
 
@@ -337,3 +340,68 @@ class TestCodebook:
         assert (2, 1) in cb and (1, 2) not in cb
         assert [2, 1] in cb and [1, 2] not in cb and [] not in cb
         assert (1,) not in cb and (1, 1, 1) not in cb and (2, 1, 0) not in cb
+
+
+class _Run(enum.IntEnum):
+    ONE = 1
+    TWO = 2
+
+
+@st.composite
+def codeword_lists(draw):
+    """(k, m, codewords): distinct inputs with up to three faults in their
+    runs (a wrong type or value, a wrong length), sorted or not, then with
+    at most one fault in their order (a duplicate, descending neighbours)."""
+    k = draw(st.integers(1, 3))
+    m = draw(st.integers(k, 9))
+    inputs = st.sampled_from(enumerate_inputs(k, m))
+    words = [list(w) for w in draw(st.lists(inputs, max_size=10, unique=True))]
+    odd_run = st.one_of(
+        st.integers(-1, m + 1),
+        st.sampled_from([True, False, 1.0, 2.5, _Run.ONE, _Run.TWO]),
+        st.integers(1, m).map(np.int64),
+    )
+    index = st.integers(0, max(len(words) - 1, 0))
+    for _ in range(draw(st.integers(0, 3)) if words else 0):
+        word = words[draw(index)]
+        fault = draw(st.sampled_from(["run", "run", "run", "short", "long", "empty"]))
+        if fault == "run":
+            if word:
+                word[draw(st.integers(0, len(word) - 1))] = draw(odd_run)
+        elif fault == "short":
+            del word[-1:]
+        elif fault == "long":
+            word.append(draw(st.integers(1, m)))
+        else:
+            word.clear()
+    if draw(st.booleans()):
+        words.sort()
+    if words and draw(st.booleans()):
+        i = draw(index)
+        if draw(st.booleans()):
+            words.insert(i, list(words[i]))
+        elif i + 1 < len(words):
+            words[i], words[i + 1] = words[i + 1], words[i]
+    return k, m, [tuple(w) if draw(st.booleans()) else w for w in words]
+
+
+def _outcome(validate):
+    try:
+        words = validate()
+    except Exception as exc:
+        return type(exc), str(exc)
+    return words, [[type(r) for r in w] for w in words]
+
+
+class TestBulkValidation:
+    @settings(max_examples=300)
+    @given(codeword_lists())
+    @example((2, 5, [(1, 1), (1, True)]))
+    @example((2, 5, [(1, 1), (1, _Run.TWO)]))
+    @example((2, 5, [(1, 1), (1, np.int64(2))]))
+    def test_same_verdict_as_the_per_word_loop(self, book):
+        k, m, words = book
+        spec = ChannelSpec(1, 1)
+        assert _outcome(lambda: Codebook(k, m, spec, "custom", words).codewords) == (
+            _outcome(lambda: validate_codewords(k, m, words))
+        )
