@@ -29,6 +29,7 @@ from .constructions import (
     code_jitter_bounded_drift,
     code_jitter_unbounded_drift,
     construct,
+    count_code,
     geometric_multipliers,
     naive_rate,
     perfect_sync_code,
@@ -86,6 +87,7 @@ __all__ = [
     "code_jitter_bounded_drift",
     "code_jitter_unbounded_drift",
     "construct",
+    "count_code",
     "geometric_multipliers",
     "naive_rate",
     "perfect_sync_code",

@@ -17,15 +17,15 @@ from fractions import Fraction
 
 from .core import (
     INFINITY,
-    REGIMES,
     ChannelSpec,
     format_ratio,
     parse_drift_ratio,
     parse_ratio,
     rate_bits,
+    _size_bits,
 )
 from .codebook_io import dump_codebook, load_codebook
-from .constructions import AUTO_REGIME, construct
+from .constructions import _CONSTRUCTED, AUTO_REGIME, construct, count_code
 from .oracle import BUDGET_EXCEEDED, optimal_code_bruteforce, verify_zero_error
 from .simulate import run_endpoint_roundtrips, run_uniform_roundtrips
 
@@ -36,8 +36,9 @@ EXIT_USAGE = 1
 EXIT_FAILED = 2
 EXIT_BUDGET = 3
 
-#: Most points a start:stop:step range may expand to; every point builds a
-#: codebook, so a larger grid is almost surely a mistyped step.
+#: Most points a start:stop:step range may expand to; every point counts a
+#: code, some by listing its bases, so a larger grid is almost surely a
+#: mistyped step.
 _MAX_GRID_POINTS = 10_000
 
 
@@ -100,7 +101,7 @@ def _build_parser() -> _Parser:
     p.add_argument(
         "--regime",
         default=AUTO_REGIME,
-        choices=(AUTO_REGIME, *(r for r in REGIMES if r != "custom")),
+        choices=(AUTO_REGIME, *_CONSTRUCTED),
         help="construction to use; auto picks from (xi, gamma)",
     )
     p.add_argument("--out", help="write the codebook file here")
@@ -187,8 +188,8 @@ def _sweep_rows(args):
     for v in grid:
         # the shared point, with the swept field replaced
         p = {"M": args.M, "xi": args.xi, "gamma": args.gamma, args.param: v}
-        codebook = construct(args.k, p["M"], p["xi"], p["gamma"])
-        rows.append([format_ratio(v), len(codebook), rate_bits(codebook)])
+        size = count_code(args.k, p["M"], p["xi"], p["gamma"])
+        rows.append([format_ratio(v), size, _size_bits(size)])
 
     if args.param == "xi" and args.gamma != INFINITY:
         # a code built for larger jitter stays zero-error at smaller jitter,

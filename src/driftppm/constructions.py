@@ -20,6 +20,11 @@ two-pulse bases are a greedy ratio ascent, one Stern-Brocot successor search
 per word, so they cost O(words * log M) at any frame size.  Every builder
 takes its ratios through ChannelSpec and refuses a code too large to list
 through core's one size guard.  All arithmetic is exact.
+
+count_code gives the size construct would build, with the same refusals,
+without listing a word: a chain code over the primitive vectors sums their
+counts over the chain, and every other code is counted by its builder's own
+steps before they list anything.
 """
 
 from __future__ import annotations
@@ -32,6 +37,7 @@ from typing import Iterator
 
 from .core import (
     INFINITY,
+    REGIMES,
     ChannelSpec,
     Codebook,
     EmptyDomainError,
@@ -39,6 +45,8 @@ from .core import (
     UnsupportedRegimeError,
     _as_drift_ratio,
     _check_size,
+    _count_inputs,
+    _run_levels,
     _run_vectors,
     enumerate_inputs,
 )
@@ -54,6 +62,7 @@ __all__ = [
     "perfect_sync_code",
     "naive_rate",
     "construct",
+    "count_code",
     "AUTO_REGIME",
 ]
 
@@ -97,6 +106,41 @@ def _by_gcd(k: int, m: int, step) -> tuple[Runs, ...]:
     inputs = enumerate_inputs(k, m)  # refuses an oversized frame first
     chain = set(geometric_multipliers(step, m))
     return tuple(compress(inputs, map(chain.__contains__, starmap(math.gcd, inputs))))
+
+
+def _count_by_gcd(k: int, m: int, step) -> int:
+    """len(_by_gcd(k, m, step)), with its refusals: the inputs with gcd c are
+    c times the primitive vectors summing to <= m // c."""
+    if k == 1 and step == INFINITY:
+        raise UnsupportedRegimeError(_K1_DRIFT_REASON)
+    _count_inputs(k, m)
+    primitive = _primitive_counts(k, m)
+    return sum(primitive[m // c] for c in _multipliers(step, m))
+
+
+def _primitive_counts(k: int, n: int) -> dict[int, int]:
+    """P_k(q), the vectors of k positive runs with gcd 1 summing to <= q, for
+    every quotient q = n // d.
+
+    Every input is its gcd d times a primitive vector, so C(q, k) is the sum
+    over d >= 1 of P_k(q // d).  Each q // d is again a quotient of n, and
+    smaller than q when d >= 2, so one ascending pass fills the table; the d
+    that share a quotient are taken together, O(n^(3/4)) integer steps.
+    """
+    quotients, d = [], 1
+    while d <= n:
+        quotients.append(n // d)
+        d = n // quotients[-1] + 1
+    table = {}
+    for q in reversed(quotients):
+        count, d = math.comb(q, k), 2
+        while d <= q:
+            r = q // d
+            last = q // r
+            count -= (last - d + 1) * table[r]
+            d = last + 1
+        table[q] = count
+    return table
 
 
 def code_gcd(k: int, m: int) -> Codebook:
@@ -209,13 +253,20 @@ def code_jitter_bounded_drift(m: int, xi, gamma) -> Codebook:
     chain up to m // 2 that fits the frame, counted before any word is built.
     """
     spec = ChannelSpec(xi, gamma)
+    bases, chain, sizes = _chain_prefixes(m, spec)
+    words = ((c * x1, c * x2) for (x1, x2), n in zip(bases, sizes) for c in chain[:n])
+    return Codebook.build(2, m, spec, "jitter-bounded-drift", words)
+
+
+def _chain_prefixes(m: int, spec: ChannelSpec):
+    """The bases of code_jitter_bounded_drift, its chain, and how many of the
+    chain's values each base takes; refuses more than MAX_INPUTS words."""
     bases = _ratio_ascent(m, spec.xi)
     step = INFINITY if spec.unbounded_drift else spec.gamma * spec.xi
     chain = geometric_multipliers(step, m // 2)
     sizes = [bisect_right(chain, m // (x1 + x2)) for x1, x2 in bases]
     _check_size(sum(sizes), 2, m, "{} codewords")
-    words = ((c * x1, c * x2) for (x1, x2), n in zip(bases, sizes) for c in chain[:n])
-    return Codebook.build(2, m, spec, "jitter-bounded-drift", words)
+    return bases, chain, sizes
 
 
 def perfect_sync_code(k: int, m: int) -> Codebook:
@@ -238,6 +289,9 @@ def naive_rate(k: int, m: int) -> float:
 
 AUTO_REGIME = "auto"
 
+#: every tag a construction builds: all but "custom", which is any other book
+_CONSTRUCTED = tuple(r for r in REGIMES if r != "custom")
+
 
 def construct(k: int, m: int, xi, gamma, regime: str = AUTO_REGIME) -> Codebook:
     """Build a codebook, picking the construction that matches (xi, gamma).
@@ -248,6 +302,47 @@ def construct(k: int, m: int, xi, gamma, regime: str = AUTO_REGIME) -> Codebook:
     two-pulse jitter constructions.
     """
     spec = ChannelSpec(xi, gamma)
+    regime = _resolve_regime(k, spec, regime)
+    if regime == "gcd":
+        return code_gcd(k, m)
+    if regime == "bounded-drift":
+        return code_bounded_drift(k, m, spec.gamma)
+    if regime == "jitter":
+        return code_jitter(k, m, spec.xi)
+    if regime == "jitter-unbounded-drift":
+        return code_jitter_unbounded_drift(m, spec.xi)
+    if regime == "jitter-bounded-drift":
+        return code_jitter_bounded_drift(m, spec.xi, spec.gamma)
+    return perfect_sync_code(k, m)
+
+
+def count_code(k: int, m: int, xi, gamma, regime: str = AUTO_REGIME) -> int:
+    """len(construct(k, m, xi, gamma, regime)) in exact integers, listing no word.
+
+    Refuses what construct refuses, with the same exception and message, the
+    size guard included.  Chain codes over the primitive vectors (gcd,
+    bounded-drift) sum the primitive counts over their chain; perfect-sync is
+    C(m, k); jitter takes _run_vectors' last level count; the two-pulse
+    jitter codes count their bases and chain prefixes.
+    """
+    spec = ChannelSpec(xi, gamma)
+    regime = _resolve_regime(k, spec, regime)
+    if regime == "gcd":
+        return _count_by_gcd(k, m, INFINITY)
+    if regime == "bounded-drift":
+        return _count_by_gcd(k, m, spec.gamma)
+    if regime == "jitter":
+        return sum(_run_levels(k, m, _multipliers(spec.xi, m))[1][-1])
+    if regime == "jitter-unbounded-drift":
+        return len(_ratio_ascent(m, spec.xi))
+    if regime == "jitter-bounded-drift":
+        return sum(_chain_prefixes(m, spec)[2])
+    return _count_inputs(k, m)
+
+
+def _resolve_regime(k: int, spec: ChannelSpec, regime: str) -> str:
+    """The construction for a regime tag or AUTO_REGIME, refusing a pulse
+    count or drift bound it is not defined for and an unknown tag."""
     xi, gamma = spec.xi, spec.gamma
     if regime == AUTO_REGIME:
         if xi == 1 and gamma == 1 and k == 1:
@@ -264,16 +359,6 @@ def construct(k: int, m: int, xi, gamma, regime: str = AUTO_REGIME) -> Codebook:
         raise UnsupportedRegimeError(_K2_ONLY_REASON)
     if regime in ("bounded-drift", "jitter-bounded-drift") and spec.unbounded_drift:
         raise UnsupportedRegimeError("drift chains need a finite gamma")
-    if regime == "gcd":
-        return code_gcd(k, m)
-    if regime == "bounded-drift":
-        return code_bounded_drift(k, m, gamma)
-    if regime == "jitter":
-        return code_jitter(k, m, xi)
-    if regime == "jitter-unbounded-drift":
-        return code_jitter_unbounded_drift(m, xi)
-    if regime == "jitter-bounded-drift":
-        return code_jitter_bounded_drift(m, xi, gamma)
-    if regime == "perfect-sync":
-        return perfect_sync_code(k, m)
-    raise ValueError(f"unknown regime {regime!r}")
+    if regime not in _CONSTRUCTED:
+        raise ValueError(f"unknown regime {regime!r}")
+    return regime

@@ -9,7 +9,9 @@ matter, so both are stored as exact rationals; gamma may be infinite.
 
 Everything here is immutable and exact: no floating point enters code
 construction or pairwise checks.  Every builder lists its inputs or words,
-and refuses past MAX_INPUTS of them through the one size guard here.
+and refuses past MAX_INPUTS of them through the one size guard here; the
+counts that guard reads are taken before any tuple is built, so a code can
+be counted, with the same refusals, without being listed.
 """
 
 from __future__ import annotations
@@ -284,26 +286,57 @@ def enumerate_inputs(k: int, m: int) -> list[Runs]:
     of k pulse positions among m bins, and position order maps to run order.
     Raises ValueError past MAX_INPUTS, counted before anything is built.
     """
+    _count_inputs(k, m)
+    return _run_vectors(k, m, range(1, m + 1))
+
+
+def _count_inputs(k: int, m: int) -> int:
+    """C(m, k), the size of enumerate_inputs(k, m), with the same refusals.
+
+    _run_vectors over every run value refuses nothing once C(m, k) passes:
+    no level outnumbers the vectors, and more than MAX_INPUTS values up to
+    m - k + 1 would make C(m, 1) = m pass the limit first.
+    """
     # C(m, i) for i up to min(k, m - k), stopping past the limit: the full
     # C(m, k) of a huge frame would take longer to compute than to refuse
     last, count = min(k, m - k), 1
     for i in range(1, last + 1):
         count = count * (m - i + 1) // i
         _check_size(count, k, m, "C(M, k) {1} {0} inputs", "=" if i == last else ">=")
-    return _run_vectors(k, m, range(1, m + 1))
+    _check_domain(k, m)
+    return count
 
 
-def _run_vectors(k: int, m: int, alphabet: Iterable[int]) -> list[Runs]:
-    """Vectors of k runs from an ascending iterable of run values up to m,
-    holding 1, summing to <= m, in lexicographic order.  Refuses k < 1, m < k
-    (no inputs) and more than MAX_INPUTS runs per input, values up to
-    m - k + 1 (after MAX_INPUTS + 1 are drawn) or vectors (each level is
-    counted before any vector is built)."""
+def _check_domain(k: int, m: int) -> None:
+    """Refuse k < 1, m < k (no inputs) and more than MAX_INPUTS runs per input."""
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     if m < k:
         raise EmptyDomainError(f"no inputs with {k} pulses in {m} bins")
     _check_size(k, k, m, "{} runs per input")
+
+
+def _run_vectors(k: int, m: int, alphabet: Iterable[int]) -> list[Runs]:
+    """Vectors of k runs from an ascending iterable of run values up to m,
+    holding 1, summing to <= m, in lexicographic order, with the refusals of
+    _run_levels."""
+    # the array stays alive through the build: freed before it, it raised
+    # the oracle benchmark's peak RSS by about 0.07 MB
+    values, levels = _run_levels(k, m, alphabet)
+    drawn = values.tolist()
+    vectors = [()]
+    for ends in levels:
+        vectors = [v + (r,) for v, end in zip(vectors, ends) for r in drawn[:end]]
+    return vectors
+
+
+def _run_levels(k: int, m: int, alphabet: Iterable[int]) -> tuple[np.ndarray, list[list[int]]]:
+    """The run values, as an array, and for each level of _run_vectors how
+    many of them extend each prefix, so that sum(levels[-1]) vectors are
+    listed.  Refuses what _check_domain refuses, then values up to
+    m - k + 1 (after MAX_INPUTS + 1 are drawn) or vectors (each level is
+    counted before any vector is built)."""
+    _check_domain(k, m)
     rest = iter(alphabet)
     drawn = list(islice(rest, MAX_INPUTS + 1))
     if drawn[-1] <= m - k + 1:
@@ -328,10 +361,7 @@ def _run_vectors(k: int, m: int, alphabet: Iterable[int]) -> list[Runs]:
         if later:
             # the bins each prefix of the next level leaves
             left = np.repeat(left, ends) - values[_block_offsets(ends)]
-    vectors = [()]
-    for ends in levels:
-        vectors = [v + (r,) for v, end in zip(vectors, ends) for r in drawn[:end]]
-    return vectors
+    return values, levels
 
 
 def _block_offsets(sizes):
@@ -341,7 +371,11 @@ def _block_offsets(sizes):
 
 def rate_bits(codebook: Codebook) -> float:
     """Code rate in bits per frame: log2 of the codebook size."""
-    n = len(codebook.codewords)
-    if n == 0:
+    return _size_bits(len(codebook.codewords))
+
+
+def _size_bits(size: int) -> float:
+    """log2 of a code size, which must be positive."""
+    if size == 0:
         raise ValueError("empty codebook has no rate")
-    return math.log2(n)
+    return math.log2(size)

@@ -1,16 +1,28 @@
 """Reference forms of rules the package applies in one pass.
 
 Each helper states one rule directly: a run vector's gcd, its drift-invariant
-ratio vector, one base's drift chain, and the best rate over a jitter grid.
-The tests check the package's builds and the sweep's best-rate column
-against them.
+ratio vector, one base's drift chain, the best rate over a jitter grid, and
+a sweep's rows read off built codebooks.  The tests check the package's
+builds, the sweep's best-rate column and the counted sweep against them.
 """
 
 import math
 from fractions import Fraction
 
-from driftppm.constructions import code_jitter_bounded_drift, geometric_multipliers
-from driftppm.core import as_ratio, rate_bits
+from driftppm.cli import _parse_grid
+from driftppm.constructions import (
+    code_jitter_bounded_drift,
+    construct,
+    geometric_multipliers,
+)
+from driftppm.core import (
+    INFINITY,
+    as_ratio,
+    format_ratio,
+    parse_drift_ratio,
+    parse_ratio,
+    rate_bits,
+)
 
 
 def gcd_of(runs):
@@ -55,3 +67,35 @@ def best_achievable_rate(m, xi, gamma, xi_grid):
     if below:
         raise ValueError(f"grid values below xi={xi}: {below}")
     return max(rate_bits(code_jitter_bounded_drift(m, g, gamma)) for g in grid)
+
+
+def sweep_rows(args):
+    """The sweep's rows, each point's codebook built to read its size and rate.
+
+    The body is the command line's sweep as it was before sweeps counted
+    their codes, kept verbatim.
+    """
+    grid = _parse_grid(args.values, parse_drift_ratio if args.param == "gamma" else parse_ratio)
+    if args.param == "M":
+        for v in grid:
+            if v.denominator != 1 or v < 1:
+                raise ValueError(f"M must be an integer of at least 1, got {format_ratio(v)}")
+        grid = [int(v) for v in grid]
+    elif args.M is None:
+        raise ValueError("--M is required")
+
+    rows = []
+    for v in grid:
+        # the shared point, with the swept field replaced
+        p = {"M": args.M, "xi": args.xi, "gamma": args.gamma, args.param: v}
+        codebook = construct(args.k, p["M"], p["xi"], p["gamma"])
+        rows.append([format_ratio(v), len(codebook), rate_bits(codebook)])
+
+    if args.param == "xi" and args.gamma != INFINITY:
+        # a code built for larger jitter stays zero-error at smaller jitter,
+        # so the best rate at xi is the max over grid points with value >= xi
+        running = float("-inf")
+        for i in sorted(range(len(rows)), key=grid.__getitem__, reverse=True):
+            running = max(running, rows[i][2])
+            rows[i].append(running)
+    return rows

@@ -1,6 +1,8 @@
 import hashlib
+import importlib
 import time
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -9,7 +11,10 @@ from driftppm.cli import main
 from driftppm.codebook_io import dump_codebook, load_codebook
 from driftppm.constructions import code_bounded_drift
 from driftppm.core import INFINITY, ChannelSpec, Codebook, enumerate_inputs
-from reference_constructions import best_achievable_rate
+from reference_constructions import best_achievable_rate, sweep_rows
+from test_cli_fuzz import BAD_GRIDS, GRIDS
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 
 def run(capsys, *argv):
@@ -247,6 +252,38 @@ class TestSweep:
     def test_missing_m_exits_1(self, capsys):
         code, _, _ = run(capsys, "sweep", "--param", "xi", "--values", "1", "--k", "2")
         assert code == 1
+
+
+class TestSweepCounts:
+    """sweep counts its codes and builds none, with the output of building them."""
+
+    @pytest.mark.parametrize("k", ["1", "2", "3"])
+    @pytest.mark.parametrize("param", list(GRIDS))
+    def test_same_bytes_as_building_every_code(self, capsys, monkeypatch, param, k):
+        grids = [*(grid for values in GRIDS.values() for grid in values), *BAD_GRIDS]
+        for values in grids:
+            for xi in ("1", "3/2"):
+                for gamma in ("1", "7/4", "inf"):
+                    argv = ("sweep", "--param", param, "--values", values, "--k", k,
+                            "--M", "30", "--xi", xi, "--gamma", gamma)
+                    counted = run(capsys, *argv)
+                    with monkeypatch.context() as patch:
+                        patch.setattr(cli, "_sweep_rows", sweep_rows)
+                        built = run(capsys, *argv)
+                    assert counted == built, argv
+
+    def test_benchmark_sweeps_build_no_codebook(self, monkeypatch, tmp_path):
+        monkeypatch.syspath_prepend(str(BENCH))
+        workloads = importlib.import_module("workloads")
+        steps = [step for step in workloads.DESIGN_STEPS if step[0][0] == "sweep"]
+        design = workloads.Design(steps=steps, work_dir=tmp_path / "work")
+        design.setup(seed=0)
+
+        def refuse(self):
+            raise AssertionError("a codebook was built")
+
+        monkeypatch.setattr(core.Codebook, "__post_init__", refuse)
+        assert design.run_pass() == (len(steps), 0)
 
 
 class TestSimulate:

@@ -19,12 +19,14 @@ from driftppm.core import (
     rate_bits,
 )
 from driftppm.constructions import (
+    _primitive_counts,
     code_bounded_drift,
     code_gcd,
     code_jitter,
     code_jitter_bounded_drift,
     code_jitter_unbounded_drift,
     construct,
+    count_code,
     geometric_multipliers,
     naive_rate,
     perfect_sync_code,
@@ -610,3 +612,124 @@ class TestConstructDispatch:
         cb = construct(1, 65, 1, F(7, 4))
         assert cb.regime == "bounded-drift"
         assert cb.codewords == ((1,), (2,), (4,), (8,), (15,), (27,), (48,))
+
+
+XIS = (F(1), F(21, 20), F(3, 2), F(2), INFINITY)
+GAMMAS = (F(1), F(3, 2), F(7, 4), F(4), INFINITY)
+REGIME_TAGS = (constructions.AUTO_REGIME, *core.REGIMES, "optimal")
+
+
+def _size_or_refusal(build, *args):
+    """The size a call returns, or the type and message of what it raises."""
+    try:
+        result = build(*args)
+    except Exception as exc:  # every refusal is compared, whatever its type
+        return type(exc), str(exc)
+    return len(result) if isinstance(result, core.Codebook) else result
+
+
+@pytest.fixture
+def cached_builders(monkeypatch):
+    """construct's builders, each remembering its books: on a grid of specs
+    most points rebuild the same book.  count_code calls none of them."""
+    for name in ("code_gcd", "code_bounded_drift", "code_jitter",
+                 "code_jitter_unbounded_drift", "code_jitter_bounded_drift",
+                 "perfect_sync_code"):
+        monkeypatch.setattr(constructions, name, functools.cache(getattr(constructions, name)))
+
+
+class TestCountCode:
+    """count_code is len(construct(...)), and refuses what construct refuses."""
+
+    @pytest.mark.parametrize("k", range(5))
+    def test_same_answer_as_construct_on_the_grid(self, cached_builders, k):
+        mismatches = []
+        for m in (0, 1, 2, 3, 4, 5, 7, 12, 30, 10**11):
+            for xi in XIS:
+                for gamma in GAMMAS:
+                    for regime in REGIME_TAGS:
+                        if (m, xi, regime) == (10**11, 1, "jitter") and gamma != 1:
+                            # the chain ignores gamma, and each call draws
+                            # MAX_INPUTS + 1 run values before it refuses
+                            continue
+                        args = (k, m, xi, gamma, regime)
+                        built = _size_or_refusal(construct, *args)
+                        counted = _size_or_refusal(count_code, *args)
+                        if built != counted:
+                            mismatches.append((args, built, counted))
+        assert mismatches == []
+
+    @pytest.mark.parametrize("k", range(5))
+    @pytest.mark.parametrize("m", [2000, 2001])
+    def test_same_answer_at_the_size_limit(self, k, m):
+        # C(2000, 2) = 1 999 000 inputs pass the limit and C(2001, 2) does not;
+        # listing one k = 2 book at M = 2000 takes about a second, so one spec
+        for regime in REGIME_TAGS:
+            args = (k, m, F(21, 20), F(7, 4), regime)
+            assert _size_or_refusal(count_code, *args) == _size_or_refusal(construct, *args)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        k=st.integers(0, 4),
+        m=st.integers(0, 60) | st.just(10**11),
+        xi=st.sampled_from(XIS) | st.fractions(1, 3, max_denominator=40),
+        gamma=st.sampled_from(GAMMAS) | st.fractions(1, 5, max_denominator=40),
+        regime=st.sampled_from(REGIME_TAGS),
+    )
+    def test_same_answer_as_construct(self, k, m, xi, gamma, regime):
+        args = (k, m, xi, gamma, regime)
+        assert _size_or_refusal(count_code, *args) == _size_or_refusal(construct, *args)
+
+    @pytest.mark.parametrize("k, m", [(2, 1024), (3, 65)])
+    def test_large_books(self, k, m):
+        for xi, gamma in ((1, F(7, 4)), (1, INFINITY), (F(21, 20), 1)):
+            assert count_code(k, m, xi, gamma) == len(construct(k, m, xi, gamma))
+
+    def test_one_patch_moves_every_limit(self, monkeypatch):
+        # the limits of TestSizeGuard, read by the counts too
+        monkeypatch.setattr(core, "MAX_INPUTS", 5)
+        for args in ((3, 10, 1, INFINITY), (6, 6, 1, 1), (2, 10, 2, 1), (1, 10, 1, 1, "jitter"),
+                     (2, 65, F(21, 20), INFINITY), (2, 30, 2, 1, "jitter-bounded-drift")):
+            counted = _size_or_refusal(count_code, *args)
+            assert counted == _size_or_refusal(construct, *args)
+            assert counted[1].endswith("more than the 5 that can be enumerated")
+
+    @pytest.mark.parametrize("regime", ["custom", "optimal"])
+    def test_unknown_regime_refused(self, regime):
+        # one check serves both, so the comparisons above cannot see it go
+        for build in (construct, count_code):
+            with pytest.raises(ValueError, match=f"^unknown regime '{regime}'$"):
+                build(2, 12, 1, 1, regime)
+
+    def test_counts_without_listing(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a word was listed")
+
+        monkeypatch.setattr(core.Codebook, "__post_init__", refuse)
+        monkeypatch.setattr(constructions, "_run_vectors", refuse)
+        monkeypatch.setattr(constructions, "enumerate_inputs", refuse)
+        assert count_code(2, 65, 1, F(7, 4)) == 1736
+        assert count_code(2, 65, 1, INFINITY) == 1307
+        assert count_code(2, 65, 1, 1, "perfect-sync") == 2080
+        assert count_code(3, 30, F(21, 20), 1) == 3850
+
+
+def _brute_primitive(k, n):
+    """Vectors of k positive runs summing to <= n with gcd 1, one by one."""
+    if n < k:
+        return 0
+    return sum(1 for runs in enumerate_inputs(k, n) if math.gcd(*runs) == 1)
+
+
+class TestPrimitiveCounts:
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_equal_to_a_gcd_count(self, k):
+        for n in range(1, 41):
+            table = _primitive_counts(k, n)
+            assert set(table) == {n // d for d in range(1, n + 1)}
+            assert table == {q: _brute_primitive(k, q) for q in table}
+
+    def test_coprime_share_tends_to_six_over_pi_squared(self):
+        n = 10**6
+        share = _primitive_counts(2, n)[n] / math.comb(n, 2)
+        assert abs(share - 6 / math.pi**2) < 1e-3
