@@ -33,7 +33,7 @@ import math
 from bisect import bisect_right
 from fractions import Fraction
 from itertools import compress, starmap
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .core import (
     INFINITY,
@@ -97,6 +97,12 @@ def _multipliers(step, limit: int) -> Iterator[int]:
     num, den, d = step.numerator, step.denominator, 1
     while (d := num * d // den + 1) <= limit:
         yield d
+
+
+def _jitter_chain(xi: Fraction, m: int) -> Iterable[int]:
+    """The run values of code_jitter, ascending: at xi = 1 every integer up
+    to m, as a range, else _multipliers(xi, m) drawn one at a time."""
+    return range(1, m + 1) if xi == 1 else _multipliers(xi, m)
 
 
 def _by_gcd(k: int, m: int, step) -> tuple[Runs, ...]:
@@ -173,7 +179,7 @@ def code_jitter(k: int, m: int, xi) -> Codebook:
     chain values differ by more than the jitter can bridge.
     """
     spec = ChannelSpec(xi, 1)
-    words = _run_vectors(k, m, _multipliers(spec.xi, m))
+    words = _run_vectors(k, m, _jitter_chain(spec.xi, m))
     return Codebook(k, m, spec, "jitter", tuple(words))
 
 
@@ -332,7 +338,7 @@ def count_code(k: int, m: int, xi, gamma, regime: str = AUTO_REGIME) -> int:
     if regime == "bounded-drift":
         return _count_by_gcd(k, m, spec.gamma)
     if regime == "jitter":
-        return sum(_run_levels(k, m, _multipliers(spec.xi, m))[1][-1])
+        return sum(_run_levels(k, m, _jitter_chain(spec.xi, m))[1][-1])
     if regime == "jitter-unbounded-drift":
         return len(_ratio_ascent(m, spec.xi))
     if regime == "jitter-bounded-drift":

@@ -335,15 +335,19 @@ def _run_levels(k: int, m: int, alphabet: Iterable[int]) -> tuple[np.ndarray, li
     many of them extend each prefix, so that sum(levels[-1]) vectors are
     listed.  Refuses what _check_domain refuses, then values up to
     m - k + 1 (after MAX_INPUTS + 1 are drawn) or vectors (each level is
-    counted before any vector is built)."""
+    counted before any vector is built).  A range alphabet, every integer
+    at xi = 1, is sliced, not drawn, so it is refused before any value is."""
     _check_domain(k, m)
-    rest = iter(alphabet)
-    drawn = list(islice(rest, MAX_INPUTS + 1))
-    if drawn[-1] <= m - k + 1:
+    if isinstance(alphabet, range):
+        head, rest = alphabet[:MAX_INPUTS + 1], alphabet[MAX_INPUTS + 1:]
+    else:
+        rest = iter(alphabet)
+        head = list(islice(rest, MAX_INPUTS + 1))
+    if head[-1] <= m - k + 1:
         # the vectors (1, ..., 1, r) alone number as many as these values
-        _check_size(len(drawn), k, m, ">= {} inputs")
+        _check_size(len(head), k, m, ">= {} inputs")
     # any values left are past m - k + 1: fewer than k, and in no vector
-    drawn.extend(rest)
+    drawn = [*head, *rest]
     # each prefix extends, in order, by every run that leaves a bin for each
     # run still to come, and has a completion (all later runs 1), so no level
     # outnumbers the vectors; the counts need only the bins each prefix

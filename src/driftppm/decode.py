@@ -311,7 +311,7 @@ class Decoder:
         of the one codeword that consistent_ints, and fast_ints, would
         return, or -1 when either would return none or several;
         structured is None for a regime without a structured decoder.
-        candidates counts the (row, word) pairs that every decoder tests.
+        candidates counts, per row, the words that every decoder tests.
 
         Each test compares columns of candidates: the first run's drift
         window, then the 2(k-1) ratio comparisons that are the chain test.
@@ -327,10 +327,10 @@ class Decoder:
         found = np.full((2, rows), -1, dtype=np.int64)
         gpd, hq, pd = g * p * d, h * q, p * d
         order, row, starts, ends = self._point_windows(a_cols, p, q)
-        candidates = 0
+        candidates = np.zeros(rows, dtype=np.int64)
+        np.add.at(candidates, row, ends - starts)
         for s, w in _window_pairs(order, starts, ends):
             r = row[s]
-            candidates += len(r)
             # every decoder's match lies in the first run's drift window,
             # which most candidates fail; the rest is tested on the survivors
             a, x = a_cols[0, r], x_cols[0, w]

@@ -18,6 +18,14 @@ its 0-bit grid, and decode them in batches through Decoder.decode_points, as
 int64 arrays where every product fits and as arrays of Python ints
 otherwise.  consistent_ints and fast_ints run again only on the first failed
 trials, to word the report's examples.
+
+Corners whose factor rows are equal, as exact integers, are one realization:
+without jitter only T's bit moves a corner, without drift only the Z bits,
+and at xi = gamma T high with every Z low is T low with every Z high.
+Endpoint mode decodes each (codeword, realization) pair that some trial
+reaches once and counts its result once for every trial it stands for, so
+its report is the one a decode per trial would give.  Uniform trials are
+decoded one row each: their 2^-53 grid draws all but never coincide.
 """
 
 from __future__ import annotations
@@ -27,7 +35,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import REGIMES, ChannelSpec, Codebook
+from .core import REGIMES, ChannelSpec, Codebook, _block_offsets
 from . import channel
 from .channel import DEFAULT_T_CAP
 from .decode import get_decoder
@@ -86,33 +94,34 @@ def _trial_decoder(codebook, spec):
     return (codebook.spec if spec is None else spec), get_decoder(codebook)
 
 
-def _run_batches(decoder, spec, trials, d, scale, batches, n_corners=0):
-    """Decode the trials that batches(dtype) yields, in trial order, as
-    (word indices, factor rows, corners or None): trial r sends
-    words[word[r]] and observes factors[r] * word / d, every factor at most
-    scale.  The failures are counted per corner when corners are given;
-    the first failed trials are decoded again one at a time by
-    consistent_ints and fast_ints, which word the report's examples."""
+def _row_decoder(decoder, spec, d, scale):
+    """(kernel, dtype, decode) of batched trials whose factors are at most
+    scale.  decode(word, factors) decodes the rows in which words[word[r]]
+    is observed as factors[r] * word / d, factors of dtype, and returns per
+    row the count of wrong general and wrong structured decodes, and the
+    words the decoders tested."""
     ints = spec.ints
     dtype = decoder.point_dtype(scale, d, *ints)
-    report = TrialReport(trials, kernel="int64" if dtype is np.int64 else "scalar")
-    runs = np.array(decoder.words, dtype=dtype)
-    per_corner = np.zeros(n_corners, dtype=np.int64)
-    failed = []  # (word, factor row) of the first failed trials
-    for word, factors, corner in batches(dtype):
+    runs = decoder._word_columns.T.astype(dtype)
+
+    def decode(word, factors):
         general, structured, candidates = decoder.decode_points(runs[word] * factors, d, *ints)
-        report.candidates += candidates
         missed = (general != word).astype(np.int64)
         if structured is not None:
             missed += structured != word
-        report.failures += int(missed.sum())
-        if corner is not None:
-            np.add.at(per_corner, corner, missed)
-        for r in np.flatnonzero(missed)[: TrialReport._MAX_EXAMPLES - len(failed)]:
-            failed.append((decoder.words[word[r]], factors[r].tolist()))
-    report.corner_failures = per_corner.tolist()
+        return missed, candidates
+
+    return ("int64" if dtype is np.int64 else "scalar"), dtype, decode
+
+
+def _add_examples(report, decoder, spec, d, failed):
+    """Word the report's examples: the failed trials (word index, factor
+    row), in trial order, decoded again one at a time by consistent_ints
+    and fast_ints."""
+    ints = spec.ints
     structured = REGIMES[decoder.regime] is not None
-    for x, c in failed:
+    for word, c in failed:
+        x = decoder.words[word]
         a = [xi * ci for xi, ci in zip(x, c)]
         matches = decoder.consistent_ints(a, a, d, *ints)
         if matches != [x]:
@@ -121,7 +130,6 @@ def _run_batches(decoder, spec, trials, d, scale, batches, n_corners=0):
             fast = decoder.fast_ints(a, a, d, *ints)
             if fast != [x]:
                 report.add_example(x, f"structured decode gave {fast}")
-    return report
 
 
 def run_endpoint_roundtrips(
@@ -134,7 +142,9 @@ def run_endpoint_roundtrips(
 
     With trials=None every (codeword, corner) pair is exercised once;
     otherwise trial t uses codeword t mod |C| and advances the corner after
-    each full pass over the codebook.
+    each full pass over the codebook.  Corners with one factor row are one
+    realization: each (codeword, realization) pair a trial reaches is
+    decoded once, and counts once for every trial it stands for.
     """
     if trials is not None:
         _check_trials(trials)
@@ -145,16 +155,61 @@ def run_endpoint_roundtrips(
     # only the corners the trials reach: every trial t < total has
     # (t div n) mod corners == (t div n) mod reached
     reached = min(corners, -(-total // n))
+    # trial t sends word t mod n through corner (t div n) mod reached: full
+    # passes over the codebook, then one pass of the first rem words.  Corner
+    # c takes cycles + (c < extra) full passes, and corner extra the last one
+    full, rem = divmod(total, n)
+    cycles, extra = divmod(full, reached) if reached else (0, 0)
+    table = factors(channel._corner_rows(codebook.k, reached))
+    # realization group[c] of corner c; first[g] is realization g's first corner
+    ids, group, first = {}, [], []
+    for c, row in enumerate(map(tuple, table.tolist())):
+        if row not in ids:
+            ids[row] = len(first)
+            first.append(c)
+        group.append(ids[row])
+    first = np.array(first, dtype=np.intp)
+    # a realization only the last pass reaches sends its first rem words
+    sizes = np.where((first < extra) | (cycles > 0), n, rem)
+    starts = np.cumsum(sizes) - sizes
+    kernel, dtype, decode = _row_decoder(decoder, spec, d, top)
+    report = TrialReport(total, kernel=kernel)
+    # pair i sends word words[i] through realization real[i]; the pairs of
+    # realization g are starts[g] .. starts[g] + sizes[g] - 1
+    real, words = np.repeat(np.arange(len(first)), sizes), _block_offsets(sizes)
+    rows = table[first].astype(dtype)
+    missed = np.empty(len(words), dtype=np.int64)
+    tested = np.empty(len(words), dtype=np.int64)
+    for i in range(0, len(words), _ROWS):
+        batch = slice(i, i + _ROWS)
+        missed[batch], tested[batch] = decode(words[batch], rows[real[batch]])
 
-    def batches(dtype):
-        table = factors(channel._corner_rows(codebook.k, reached)).astype(dtype)
-        for first in range(0, total, _ROWS):
-            # trial t sends word t mod n through corner (t div n) mod 2^(k+1)
-            t = np.arange(first, min(first + _ROWS, total))
-            corner = t // n % reached
-            yield t % n, table[corner], corner
+    def tally(per_pair):
+        # per corner, its trials' sum of per_pair
+        whole = np.add.reduceat(per_pair, starts).tolist()
+        out = [(cycles + (c < extra)) * whole[g] for c, g in enumerate(group)]
+        if rem:
+            g = group[extra]
+            out[extra] += int(per_pair[starts[g]:starts[g] + rem].sum())
+        return out
 
-    return _run_batches(decoder, spec, total, d, top, batches, reached)
+    report.corner_failures = tally(missed)
+    report.failures = sum(report.corner_failures)
+    report.candidates = sum(tally(tested))
+    # the first failed trials, in trial order: pass j sends its words through
+    # corner j mod reached, all n of them but in a last pass of rem
+    failed, passes, j0 = [], full + (rem > 0), 0
+    bad = [c for c, count in enumerate(report.corner_failures) if count]
+    while bad and j0 < passes and len(failed) < TrialReport._MAX_EXAMPLES:
+        for c in (c for c in bad if j0 + c < passes):
+            g = group[c]
+            sent = n if j0 + c < full else rem
+            hits = np.flatnonzero(missed[starts[g]:starts[g] + sent])
+            hits = hits[:TrialReport._MAX_EXAMPLES - len(failed)].tolist()
+            failed += [(w, table[c].tolist()) for w in hits]
+        j0 += reached
+    _add_examples(report, decoder, spec, d, failed)
+    return report
 
 
 def run_uniform_roundtrips(
@@ -174,9 +229,16 @@ def run_uniform_roundtrips(
     d, top, factors = channel.grid_ints(spec, channel._GRID_BITS, t_cap)
     key, n, k = channel.run_key(seed), len(decoder.words), codebook.k
 
-    def batches(dtype):
-        for first in range(0, trials, _ROWS):
-            word, rows = channel._uniform_trials(key, first, min(_ROWS, trials - first), k, n)
-            yield word, factors(rows).astype(dtype, copy=False), None
-
-    return _run_batches(decoder, spec, trials, d, top, batches)
+    kernel, dtype, decode = _row_decoder(decoder, spec, d, top)
+    report = TrialReport(trials, kernel=kernel)
+    failed = []  # (word index, factor row) of the first failed trials
+    for first in range(0, trials, _ROWS):
+        word, rows = channel._uniform_trials(key, first, min(_ROWS, trials - first), k, n)
+        rows = factors(rows).astype(dtype, copy=False)
+        missed, tested = decode(word, rows)
+        report.failures += int(missed.sum())
+        report.candidates += int(tested.sum())
+        hits = np.flatnonzero(missed)[: TrialReport._MAX_EXAMPLES - len(failed)]
+        failed += [(word[r], rows[r].tolist()) for r in hits]
+    _add_examples(report, decoder, spec, d, failed)
+    return report

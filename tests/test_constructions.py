@@ -488,7 +488,9 @@ class TestSizeGuard:
             code_jitter(k, 30, 1)
 
     def test_jitter_chain_refused_before_it_is_built(self, monkeypatch):
-        # 10^8 chain values at xi = 1: no more than MAX_INPUTS + 1 are drawn
+        # 10^8 chain values at xi = 1 + 10^-9, each integer up to 10^8 as at
+        # xi = 1: no more than MAX_INPUTS + 1 are drawn.  At xi = 1 the
+        # chain is a range, refused with the same text before any is drawn
         drawn = []
 
         def counted(step, limit):
@@ -502,10 +504,30 @@ class TestSizeGuard:
         text = "k=1, M=100000000 has >= 1001 inputs, more than the 1000 that can be enumerated"
         with pytest.raises(ValueError, match=f"^{text}$"):
             code_jitter(1, 10**8, 1)
+        assert drawn == []
+        with pytest.raises(ValueError, match=f"^{text}$"):
+            code_jitter(1, 10**8, 1 + F(1, 10**9))
         assert drawn == list(range(1, 1002))
         with pytest.raises(ValueError, match="k must be >= 1"):
-            code_jitter(0, 10**8, 1)
+            code_jitter(0, 10**8, 1 + F(1, 10**9))
         assert len(drawn) == 1001
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_every_integer_chain_refused_at_once(self, k):
+        # at xi = 1 more than MAX_INPUTS values up to M - k + 1 are refused
+        # with the text of the drawn chain, before any value is drawn (about
+        # 0.28 s a call when the MAX_INPUTS + 1 values were drawn one by one)
+        m = 10**11
+        text = (
+            f"k={k}, M={m} has >= {core.MAX_INPUTS + 1} inputs, "
+            f"more than the {core.MAX_INPUTS} that can be enumerated"
+        )
+        for gamma in (1, F(7, 4), INFINITY):
+            for build in (construct, count_code):
+                start = time.perf_counter()
+                with pytest.raises(ValueError, match=f"^{text}$"):
+                    build(k, m, 1, gamma, "jitter")
+                assert time.perf_counter() - start < 0.05
 
     def test_run_vectors_counted_before_a_prefix_is_built(self):
         # exactly MAX_INPUTS chain values lie up to M - k + 1, so the chain
@@ -648,10 +670,6 @@ class TestCountCode:
             for xi in XIS:
                 for gamma in GAMMAS:
                     for regime in REGIME_TAGS:
-                        if (m, xi, regime) == (10**11, 1, "jitter") and gamma != 1:
-                            # the chain ignores gamma, and each call draws
-                            # MAX_INPUTS + 1 run values before it refuses
-                            continue
                         args = (k, m, xi, gamma, regime)
                         built = _size_or_refusal(construct, *args)
                         counted = _size_or_refusal(count_code, *args)

@@ -4,7 +4,7 @@ import time
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from driftppm import channel as channel_module, simulate as simulate_module
 from driftppm.core import INFINITY, REGIMES, ChannelSpec, Codebook, enumerate_inputs
@@ -25,6 +25,7 @@ from driftppm.simulate import (
     run_uniform_roundtrips,
 )
 from reference_draws import uniform_trial
+import reference_simulate
 
 # the package re-exports the function decode under the module's name
 decode_module = importlib.import_module("driftppm.decode")
@@ -458,6 +459,152 @@ class TestTrialCounts:
         assert run_endpoint_roundtrips(book, trials=None).trials == len(book) << book.k + 1
         with pytest.raises(TypeError, match="^trials must be an int, got None$"):
             run_uniform_roundtrips(book, None, seed=1, t_cap=2)
+
+
+# (xi, gamma, t_caps): no jitter, no drift, xi = gamma (whose corners T high
+# with every Z low and T low with every Z high coincide), and unbounded drift
+REFERENCE_SPECS = [
+    (F(1), F(7, 4), (None,)),
+    (F(21, 20), F(1), (None,)),
+    (F(1), F(1), (None,)),
+    (F(3, 2), F(3, 2), (None,)),
+    (F(1), INFINITY, (1, 8)),
+    (F(3, 2), INFINITY, (1, 8)),
+]
+REFERENCE_FRAMES = {1: 12, 2: 12, 3: 9, 4: 8}
+
+
+def reference_books(k):
+    """The books construct builds for k runs under each REFERENCE_SPECS spec."""
+    books = []
+    for xi, gamma, t_caps in REFERENCE_SPECS:
+        for regime in REGIMES:
+            try:
+                book = construct(k, REFERENCE_FRAMES[k], xi, gamma, regime)
+            except ValueError:  # the regime is undefined here
+                continue
+            books += [(book, t_cap) for t_cap in t_caps]
+    return books
+
+
+def trial_counts(book):
+    """None and explicit counts that stop inside the first pass, just past
+    it, inside a later corner, and past every corner."""
+    n = len(book)
+    return [None, 1, n - 1, n + 1, 3 * n + 2, (n << book.k + 1) + 5]
+
+
+@pytest.fixture
+def decoded_rows(monkeypatch):
+    """The rows Decoder.decode_points is given, counted call by call."""
+    rows = []
+    decode_points = Decoder.decode_points
+
+    def counted(self, obs, *args):
+        rows.append(len(obs))
+        return decode_points(self, obs, *args)
+
+    monkeypatch.setattr(Decoder, "decode_points", counted)
+    return rows
+
+
+def assert_matches_reference(decoded_rows, book, **kwargs):
+    """run_endpoint_roundtrips against the one-row-per-trial reference: the
+    same TrialReport, field for field, from no more decoded rows."""
+    decoded_rows.clear()
+    report = run_endpoint_roundtrips(book, **kwargs)
+    rows = sum(decoded_rows)
+    decoded_rows.clear()
+    reference = reference_simulate.run_endpoint_roundtrips(book, **kwargs)
+    assert vars(report) == vars(reference)
+    assert rows <= sum(decoded_rows) == reference.trials
+    return report
+
+
+class TestAgainstReference:
+    """The endpoint driver decodes each distinct realization once and
+    reports what the one-row-per-trial driver reports."""
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_grid(self, decoded_rows, k):
+        loose_reports = []
+        for book, t_cap in reference_books(k):
+            for trials in trial_counts(book):
+                assert assert_matches_reference(decoded_rows, book, t_cap=t_cap, trials=trials).ok
+                # a looser decode spec: some trials fail, under some corners
+                loose = ChannelSpec(book.spec.xi * F(3, 2), book.spec.gamma * 2)
+                loose_reports.append(assert_matches_reference(
+                    decoded_rows, book, spec=loose, t_cap=t_cap or 8, trials=trials
+                ))
+        # the failures, their corners and the examples were compared too
+        assert any(len(set(r.corner_failures)) > 1 and len(r.examples) == 10
+                   for r in loose_reports)
+
+    # the fixture's count is cleared on every call that reads it
+    @settings(
+        max_examples=80, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+    )
+    @given(planted_codebooks(), st.data())
+    def test_planted_codebooks(self, decoded_rows, book, data):
+        spec = ChannelSpec(data.draw(st.sampled_from(XIS)), data.draw(st.sampled_from(GAMMAS)))
+        full = len(book) << (book.k + 1)
+        trials = data.draw(st.none() | st.integers(0, 2 * full + 3))
+        t_cap = data.draw(st.sampled_from([1, F(7, 2), 8]))
+        assert_matches_reference(decoded_rows, book, spec=spec, t_cap=t_cap, trials=trials)
+
+    def test_few_failures_over_many_passes(self, decoded_rows):
+        # under gamma = 2, T high takes (1, 1) to (2, 2) and T low leaves
+        # (2, 2): one failed trial a pass, the last word or the first, so the
+        # examples run into later cycles of corners and into a last pass of
+        # rem words, where the last word is not sent
+        book = Codebook(2, 4, ChannelSpec(1, 1), "custom", ((1, 1), (1, 2), (2, 1), (2, 2)))
+        n, loose = len(book), ChannelSpec(1, 2)
+        for trials in (8 * n + 1, 9 * n + 3, 16 * n + 1, 17 * n + 3):
+            report = assert_matches_reference(decoded_rows, book, spec=loose, trials=trials)
+            assert 0 < report.failures < trials and report.examples
+
+    def test_batches_keep_trial_order(self, decoded_rows, monkeypatch):
+        # realizations past one batch, and first failures in a later one
+        book = code_jitter(3, 12, F(3, 2))
+        loose = dict(spec=ChannelSpec(2, INFINITY), t_cap=4)
+        for rows in (1, 7, 1000):
+            monkeypatch.setattr(simulate_module, "_ROWS", rows)
+            for trials in (None, 3 * len(book) + 2):
+                assert_matches_reference(decoded_rows, book, trials=trials, **loose)
+
+
+class TestDecodeWork:
+    """Coinciding corners are decoded once."""
+
+    def test_no_jitter_decodes_two_realizations(self, decoded_rows):
+        # xi = 1: only T's bit moves the corner, so 16 corners, 2 rows each
+        book = code_bounded_drift(3, 16, F(7, 4))
+        report = run_endpoint_roundtrips(book)
+        assert (report.trials, report.ok) == (16 * len(book), True)
+        assert sum(decoded_rows) == 2 * len(book)
+
+    def test_no_drift_decodes_the_jitter_corners(self, decoded_rows):
+        # gamma = 1: only the Z bits move the corner
+        book = code_jitter(3, 16, F(21, 20))
+        assert run_endpoint_roundtrips(book).ok
+        assert sum(decoded_rows) == 8 * len(book)
+
+    def test_coinciding_corners_decoded_once(self, decoded_rows):
+        # xi = gamma: T high with both Z low is T low with both Z high
+        book = construct(2, 40, F(3, 2), F(3, 2))
+        report = run_endpoint_roundtrips(book)
+        assert (report.trials, report.ok) == (8 * len(book), True)
+        assert sum(decoded_rows) == 7 * len(book)
+
+    def test_rows_no_trial_reaches_are_not_decoded(self, decoded_rows):
+        # the first pass and 2 words of the second: T low, then T high
+        book = code_gcd(2, 10)
+        run_endpoint_roundtrips(book, trials=len(book) + 2)
+        assert sum(decoded_rows) == len(book) + 2
+        # two corners of one realization: its words are decoded once
+        decoded_rows.clear()
+        run_endpoint_roundtrips(book, trials=5 * len(book) + 2)
+        assert sum(decoded_rows) == 2 * len(book)
 
 
 def test_jitter_k3_candidates_per_trial():
