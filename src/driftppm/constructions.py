@@ -33,7 +33,7 @@ import math
 from bisect import bisect_right
 from fractions import Fraction
 from itertools import compress, starmap
-from typing import Iterable, Iterator
+from typing import Iterator
 
 from .core import (
     INFINITY,
@@ -87,22 +87,27 @@ def geometric_multipliers(step, limit: int) -> list[int]:
     return list(_multipliers(_as_drift_ratio(step, "step ratio"), limit))
 
 
-def _multipliers(step, limit: int) -> Iterator[int]:
-    """geometric_multipliers of a parsed step, one at a time."""
-    if limit < 1:
+def _multipliers(step, limit: int, d: int = 1) -> Iterator[int]:
+    """geometric_multipliers of a parsed step, one at a time, from the
+    chain value d on."""
+    if limit < d:
         return
-    yield 1
+    yield d
     if step == INFINITY:
         return
-    num, den, d = step.numerator, step.denominator, 1
+    num, den = step.numerator, step.denominator
     while (d := num * d // den + 1) <= limit:
         yield d
 
 
-def _jitter_chain(xi: Fraction, m: int) -> Iterable[int]:
-    """The run values of code_jitter, ascending: at xi = 1 every integer up
-    to m, as a range, else _multipliers(xi, m) drawn one at a time."""
-    return range(1, m + 1) if xi == 1 else _multipliers(xi, m)
+def _jitter_chain(xi: Fraction, m: int) -> tuple[range, Iterator[int]]:
+    """The run values of code_jitter, ascending.  For xi = num/den the chain
+    steps by 1 while (num - den)*d < den, so it holds every integer up to
+    D = ceil(den/(num - den)), and every one up to m at xi = 1: those are a
+    range, and _multipliers draws the rest one at a time."""
+    num, den = xi.as_integer_ratio()
+    top = max(1, m if num == den else min(-(-den // (num - den)), m))
+    return range(1, top), _multipliers(xi, m, top)
 
 
 def _by_gcd(k: int, m: int, step) -> tuple[Runs, ...]:
@@ -179,7 +184,7 @@ def code_jitter(k: int, m: int, xi) -> Codebook:
     chain values differ by more than the jitter can bridge.
     """
     spec = ChannelSpec(xi, 1)
-    words = _run_vectors(k, m, _jitter_chain(spec.xi, m))
+    words = _run_vectors(k, m, *_jitter_chain(spec.xi, m))
     return Codebook(k, m, spec, "jitter", tuple(words))
 
 
@@ -338,7 +343,7 @@ def count_code(k: int, m: int, xi, gamma, regime: str = AUTO_REGIME) -> int:
     if regime == "bounded-drift":
         return _count_by_gcd(k, m, spec.gamma)
     if regime == "jitter":
-        return sum(_run_levels(k, m, _jitter_chain(spec.xi, m))[1][-1])
+        return sum(_run_levels(k, m, *_jitter_chain(spec.xi, m))[1][-1])
     if regime == "jitter-unbounded-drift":
         return len(_ratio_ascent(m, spec.xi))
     if regime == "jitter-bounded-drift":

@@ -316,13 +316,13 @@ def _check_domain(k: int, m: int) -> None:
     _check_size(k, k, m, "{} runs per input")
 
 
-def _run_vectors(k: int, m: int, alphabet: Iterable[int]) -> list[Runs]:
-    """Vectors of k runs from an ascending iterable of run values up to m,
-    holding 1, summing to <= m, in lexicographic order, with the refusals of
-    _run_levels."""
+def _run_vectors(k: int, m: int, head: range, tail: Iterable[int] = ()) -> list[Runs]:
+    """Vectors of k runs from ascending run values up to m, the integers of
+    head and then those tail draws, holding 1, summing to <= m, in
+    lexicographic order, with the refusals of _run_levels."""
     # the array stays alive through the build: freed before it, it raised
     # the oracle benchmark's peak RSS by about 0.07 MB
-    values, levels = _run_levels(k, m, alphabet)
+    values, levels = _run_levels(k, m, head, tail)
     drawn = values.tolist()
     vectors = [()]
     for ends in levels:
@@ -330,19 +330,20 @@ def _run_vectors(k: int, m: int, alphabet: Iterable[int]) -> list[Runs]:
     return vectors
 
 
-def _run_levels(k: int, m: int, alphabet: Iterable[int]) -> tuple[np.ndarray, list[list[int]]]:
+def _run_levels(
+    k: int, m: int, head: range, tail: Iterable[int] = ()
+) -> tuple[np.ndarray, list[list[int]]]:
     """The run values, as an array, and for each level of _run_vectors how
     many of them extend each prefix, so that sum(levels[-1]) vectors are
     listed.  Refuses what _check_domain refuses, then values up to
     m - k + 1 (after MAX_INPUTS + 1 are drawn) or vectors (each level is
-    counted before any vector is built).  A range alphabet, every integer
-    at xi = 1, is sliced, not drawn, so it is refused before any value is."""
+    counted before any vector is built).  The run values are the integers
+    of head, a range that is sliced, not drawn, so MAX_INPUTS + 1 values
+    within it are refused before any is drawn, then the values tail draws."""
     _check_domain(k, m)
-    if isinstance(alphabet, range):
-        head, rest = alphabet[:MAX_INPUTS + 1], alphabet[MAX_INPUTS + 1:]
-    else:
-        rest = iter(alphabet)
-        head = list(islice(rest, MAX_INPUTS + 1))
+    head, rest = head[:MAX_INPUTS + 1], chain(head[MAX_INPUTS + 1:], tail)
+    if len(head) <= MAX_INPUTS:
+        head = [*head, *islice(rest, MAX_INPUTS + 1 - len(head))]
     if head[-1] <= m - k + 1:
         # the vectors (1, ..., 1, r) alone number as many as these values
         _check_size(len(head), k, m, ">= {} inputs")

@@ -18,6 +18,8 @@ Every observation enters the decoders as integer bounds [a_i, b_i] / d.  A
 float is taken at its exact binary value (float.as_integer_ratio), the
 values go over one common denominator, the tolerance u/w is applied to the
 integer numerators, and one gcd brings all bounds to lowest common terms.
+As gcd_i(c*s_i) = c*gcd_i(s_i), the gcd of the bounds s_i*(w -+ u) and the
+denominator L*w is the small gcd(L*w, gcd(s) * gcd(w - u, w + u)).
 
 Every decoder draws its candidates from one index: the codewords sorted by
 their first ratio x_2/x_1 as a float.  A consistent codeword's exact ratio
@@ -88,6 +90,8 @@ __all__ = [
 
 #: Relative widening applied to float-mode observations.
 DEFAULT_FLOAT_TOLERANCE = Fraction(1, 10**9)
+# (u, w) of the default tolerance u/w, read once
+_DEFAULT_TOLERANCE = DEFAULT_FLOAT_TOLERANCE.as_integer_ratio()
 
 
 class DecodeError(Exception):
@@ -114,27 +118,33 @@ def _normalize_signal(signal: ObservedSignal, tol):
     signals are widened by the relative tolerance, in integers; exact
     signals, with tolerance 0, give point intervals.
     """
-    try:
-        u, w = (DEFAULT_FLOAT_TOLERANCE if tol is None else Fraction(tol)).as_integer_ratio()
-    except (OverflowError, ValueError):  # an infinite or NaN float: out of range
-        u = w = 1
-    if not 0 <= u < w:
-        raise ValueError(f"tolerance must lie in [0, 1), got {tol}")
+    if tol is None:
+        u, w = _DEFAULT_TOLERANCE
+    else:
+        try:
+            u, w = Fraction(tol).as_integer_ratio()
+        except (OverflowError, ValueError):  # an infinite or NaN float: out of range
+            u = w = 1
+        if not 0 <= u < w:
+            raise ValueError(f"tolerance must lie in [0, 1), got {tol}")
     if signal.exact:
         u, w = 0, 1
     # Each value is num/den exactly; over the lcm L of the den it is s_i/L,
-    # and its bounds are s_i*(w -+ u) / (L*w).  Dividing a, b and L*w by
-    # their gcd leaves d equal to the lcm of the bounds' reduced denominators:
-    # each reduced denominator divides d, and for each prime power in d some
-    # bound's numerator is now coprime to that prime, so that bound's reduced
-    # denominator holds the whole prime power.
+    # and its bounds are s_i*(w -+ u) / (L*w).  Dividing every bound and L*w
+    # by their gcd leaves d equal to the lcm of the bounds' reduced
+    # denominators: each reduced denominator divides d, and for each prime
+    # power in d some bound's numerator is now coprime to that prime, so that
+    # bound's reduced denominator holds the whole prime power.  As
+    # gcd_i(c*s_i) = c*gcd_i(s_i), that gcd is one small one:
+    # gcd(L*w, gcd(s) * gcd(w - u, w + u)).
     ratios = [v.as_integer_ratio() for v in signal.values]
-    lcm = math.lcm(*(den for _, den in ratios))
+    lcm = math.lcm(*[den for _, den in ratios])
     s = [num * (lcm // den) for num, den in ratios]
-    a = [v * (w - u) for v in s]
-    b = [v * (w + u) for v in s]
-    g = math.gcd(lcm * w, *a, *b)
-    return [v // g for v in a], [v // g for v in b], lcm * w // g
+    lo, hi = w - u, w + u
+    g = math.gcd(lcm * w, math.gcd(*s) * math.gcd(lo, hi))
+    if g == 1:  # every exact signal, and most float ones
+        return [v * lo for v in s], [v * hi for v in s], lcm * w
+    return [v * lo // g for v in s], [v * hi // g for v in s], lcm * w // g
 
 
 def _float_window(a, b, p, q, c):
@@ -540,7 +550,8 @@ def decode_fast(
 ) -> Runs:
     """Same contract as decode, via the structured per-regime procedure."""
     spec, (a, b, d) = _prepare(signal, codebook, spec, tol)
-    if not spec.is_stricter_or_equal(codebook.spec):
+    # the codebook's own spec needs no comparison with itself
+    if spec is not codebook.spec and not spec.is_stricter_or_equal(codebook.spec):
         raise ValueError(
             f"decode spec ({spec}) must match the codebook spec "
             f"({codebook.spec}) or be stricter"

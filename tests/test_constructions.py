@@ -488,13 +488,15 @@ class TestSizeGuard:
             code_jitter(k, 30, 1)
 
     def test_jitter_chain_refused_before_it_is_built(self, monkeypatch):
-        # 10^8 chain values at xi = 1 + 10^-9, each integer up to 10^8 as at
-        # xi = 1: no more than MAX_INPUTS + 1 are drawn.  At xi = 1 the
-        # chain is a range, refused with the same text before any is drawn
+        # the chain steps by 1 up to D = ceil(den/(num - den)): at xi = 1 and
+        # at xi = 1 + 10^-9 every value up to M = 10^8 is on it, a range
+        # refused with the same text before any value is drawn.  At
+        # xi = 1 + 10^-3 the range ends at D = 1000, and only the two values
+        # past it that make MAX_INPUTS + 1 are drawn
         drawn = []
 
-        def counted(step, limit):
-            for value in multipliers(step, limit):
+        def counted(*args):
+            for value in multipliers(*args):
                 drawn.append(value)
                 yield value
 
@@ -502,15 +504,40 @@ class TestSizeGuard:
         monkeypatch.setattr(constructions, "_multipliers", counted)
         monkeypatch.setattr(core, "MAX_INPUTS", 1000)
         text = "k=1, M=100000000 has >= 1001 inputs, more than the 1000 that can be enumerated"
+        for xi in (1, 1 + F(1, 10**9)):
+            with pytest.raises(ValueError, match=f"^{text}$"):
+                code_jitter(1, 10**8, xi)
+            assert drawn == []
         with pytest.raises(ValueError, match=f"^{text}$"):
-            code_jitter(1, 10**8, 1)
-        assert drawn == []
-        with pytest.raises(ValueError, match=f"^{text}$"):
-            code_jitter(1, 10**8, 1 + F(1, 10**9))
-        assert drawn == list(range(1, 1002))
+            code_jitter(1, 10**8, 1 + F(1, 1000))
+        assert drawn == [1000, 1002]
         with pytest.raises(ValueError, match="k must be >= 1"):
-            code_jitter(0, 10**8, 1 + F(1, 10**9))
-        assert len(drawn) == 1001
+            code_jitter(0, 10**8, 1 + F(1, 1000))
+        assert drawn == [1000, 1002]
+
+    @pytest.mark.parametrize("xi", [1 + F(1, 10**9), 1 + F(1, 3 * 10**6)])
+    def test_chain_just_above_one_refused_at_once(self, xi):
+        # D = ceil(den/(num - den)) passes MAX_INPUTS + 1, so the range alone
+        # is refused, as at xi = 1; about 0.4 s a call when the
+        # MAX_INPUTS + 1 values were drawn one by one from _multipliers
+        m = 10**11
+        text = (
+            f"k=2, M={m} has >= {core.MAX_INPUTS + 1} inputs, "
+            f"more than the {core.MAX_INPUTS} that can be enumerated"
+        )
+        for build in (construct, count_code):
+            start = time.perf_counter()
+            with pytest.raises(ValueError, match=f"^{text}$"):
+                build(2, m, xi, 1, "jitter")
+            assert time.perf_counter() - start < 0.05
+
+    def test_jitter_chain_is_the_multiplier_chain(self):
+        # the range head and the drawn tail together are _multipliers' chain,
+        # where D = ceil(den/(num - den)) lies below, at and above m
+        for xi in [F(1), F(101, 100), F(51, 50), F(21, 20), F(7, 6), F(3, 2), F(2), F(5)]:
+            for m in [0, 1, 2, 3, 5, 6, 7, 20, 49, 50, 51, 99, 100, 101, 130]:
+                head, tail = constructions._jitter_chain(xi, m)
+                assert [*head, *tail] == list(constructions._multipliers(xi, m)), (xi, m)
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     def test_every_integer_chain_refused_at_once(self, k):

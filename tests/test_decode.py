@@ -1,9 +1,11 @@
 import copy
 import functools
 import gc
+import importlib
 import math
 from bisect import bisect_left
 from fractions import Fraction as F
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -42,6 +44,9 @@ from driftppm.decode import (
 from driftppm.distinguish import _MARGIN
 from driftppm.oracle import verify_zero_error
 from driftppm.simulate import run_endpoint_roundtrips, run_uniform_roundtrips
+
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 
 def exact(*values):
@@ -165,12 +170,29 @@ class TestDecodeFast:
 
     def test_custom_regime_rejected(self):
         cb = Codebook(2, 10, ChannelSpec(1, INFINITY), "custom", ((1, 2),))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^no structured decoder for regime 'custom'$"):
             decode_fast(exact(1, 2), cb)
 
     def test_looser_spec_rejected(self):
-        with pytest.raises(ValueError):
+        text = (
+            r"^decode spec \(xi=1 gamma=2\) must match the codebook spec "
+            r"\(xi=1 gamma=7/4\) or be stricter$"
+        )
+        with pytest.raises(ValueError, match=text):
             decode_fast(exact(3, 6), BD65, ChannelSpec(1, 2))
+
+    def test_own_spec_is_the_default(self, monkeypatch):
+        # decode_fast compares an explicit spec with the codebook's, all but
+        # the codebook's own object; that object and an equal copy decode as
+        # passing none, on the receiver benchmark's seven books and signals
+        monkeypatch.syspath_prepend(str(BENCH))
+        receiver = importlib.import_module("workloads").Receiver(signals_per_codebook=30)
+        receiver.setup(seed=3)
+        assert len({id(book) for book, _, _ in receiver.signals}) == 7
+        for book, word, signal in receiver.signals:
+            assert decode_fast(signal, book) == word
+            for spec in (book.spec, copy.copy(book.spec)):
+                assert decode_fast(signal, book, spec) == word
 
     def test_stricter_spec_allowed(self):
         assert decode_fast(exact(3, 6), GCD65, ChannelSpec(1, 50)) == (1, 2)
@@ -297,6 +319,15 @@ class TestNormalizeSignal:
     # the smallest subnormal beside a huge value: a denominator of 2^1074
     @example([5e-324, 1e300, 1.0], None)
     @example([2.0**60, 0.1], 0)
+    # gcd(w - u, w + u) = 2: with gcd(s) = 3 the final gcd is 3, over L = 2
+    # it is 2
+    @example([3.0, 6.0], F(1, 3))
+    @example([1.5, 2.5], F(1, 3))
+    @example([0.75, 1.25], F(3, 5))
+    # the final gcd is 1: d = L*w
+    @example([0.1, 0.7], None)
+    # gcd(s) = 10 divides L*w = 10^9: the final gcd is 10
+    @example([10.0, 20.0, 30.0], None)
     @settings(max_examples=500, deadline=None)
     def test_float_signal_matches_fraction_formula(self, values, tol):
         signal = ObservedSignal.from_floats(values)
@@ -313,6 +344,12 @@ class TestNormalizeSignal:
         ),
         _TOLERANCES,
     )
+    # gcd(s) > 1 beside a denominator L > 1, and beside a tolerance, which
+    # an exact signal ignores; a reduced value keeps gcd(s) coprime to L,
+    # so the final gcd is 1 and d = L
+    @example([F(6, 5), F(12, 5)], None)
+    @example([F(4, 9), F(10, 3)], F(1, 3))
+    @example([12, 18], F(3, 5))
     @settings(max_examples=300, deadline=None)
     def test_exact_signal_matches_fraction_formula(self, values, tol):
         signal = ObservedSignal.from_exact(values)
