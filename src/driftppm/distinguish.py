@@ -99,21 +99,30 @@ def confusion_graph(inputs: Sequence[Sequence[int]], spec: ChannelSpec) -> Confu
     Vertex order is the input order; inputs must share k and be duplicate-free.
     """
     vertices = tuple(tuple(v) for v in inputs)
-    if vertices:
-        k = len(vertices[0])
-        for v in vertices:
-            if len(v) != k:
-                raise ValueError("all inputs must have the same number of runs")
+    if len(set(map(len, vertices))) > 1:
+        raise ValueError("all inputs must have the same number of runs")
     if len(set(vertices)) != len(vertices):
         raise ValueError("duplicate inputs")
     n = len(vertices)
     scan = scan_pairs(vertices, spec)
-    # one bit per vertex pair, each row little-endian in whole bytes
-    rows = np.zeros((n, -(-n // 8)), dtype=np.uint8)
-    for a, b in ((scan.first, scan.second), (scan.second, scan.first)):
-        np.bitwise_or.at(rows, (a, b >> 3), (1 << (b & 7)).astype(np.uint8))
-    masks = tuple(int.from_bytes(row.tobytes(), "little") for row in rows)
-    return ConfusionGraph(vertices, spec, masks)
+    width = -(-n // 8) * 8
+    adjacent = np.zeros(n * width, dtype=bool)
+    adjacent[scan.first * width + scan.second] = True
+    adjacent[scan.second * width + scan.first] = True
+    return ConfusionGraph(vertices, spec, tuple(_row_masks(adjacent, width)))
+
+
+def _row_masks(bits: np.ndarray, width: int) -> list[int]:
+    """One int per row of a 0/1 matrix, flat or not, whose rows are width
+    long, a multiple of 8: bit c of a row's int is its column c."""
+    # one pack for the whole matrix, each row little-endian in whole bytes
+    data = np.packbits(bits, bitorder="little").tobytes()
+    step = width // 8
+    # only the empty matrix has width 0, and data nothing to step over
+    return [
+        int.from_bytes(data[i : i + step], "little")
+        for i in range(0, len(data), step or 1)
+    ]
 
 
 @dataclass(frozen=True)

@@ -5,12 +5,15 @@ an exact maximum-independent-set solver gives the true optimal code size on
 small instances.  The solver is a deterministic colour-ordered
 branch-and-bound over bitmask neighborhoods (a maximum-clique search on the
 complement graph in the style of Tomita et al., WALCOM 2010): one greedy
-clique cover per search node bounds every branch taken from it.  The
-cliques too few to beat the incumbent are built only to take their vertices
-out, since no branch could pass the bound on them, and a component of one
-vertex is taken without a search.  It keeps its own stack, so search depth
-is not limited by Python's recursion limit, and it never exploits any
-structure of the construction it is asked to validate.
+clique cover of a search node's candidates bounds every branch taken from
+it.  A cover depends on the candidate set alone, so it is built once per
+distinct candidate set in a component's search and read again by every
+node with that set; a node branches only on the cliques that could still
+beat the incumbent, and a component of one vertex is taken without a
+search.  None of this changes which nodes the search expands.  It keeps its
+own stack, so search depth is not limited by Python's recursion limit, and
+it never exploits any structure of the construction it is asked to
+validate.
 """
 
 from __future__ import annotations
@@ -18,12 +21,13 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .core import ChannelSpec, Codebook, Runs, enumerate_inputs
-from .distinguish import ConfusionGraph, confusion_graph, scan_pairs
+from .distinguish import ConfusionGraph, _row_masks, confusion_graph, scan_pairs
 
 __all__ = [
     "EXACT",
@@ -48,12 +52,17 @@ class MisResult:
     independent set size: the sum over components of the cliques in the
     root node's cover, which is built under any budget, so the bound does
     not depend on it and ``size <= maximum <= bound`` whatever the status.
+    ``covers`` counts the greedy clique covers built, root covers included
+    (a lone vertex's is its one clique): a search node whose candidate set
+    was covered before reuses that cover, so after an exact search
+    ``nodes - covers`` nodes reused one.
     """
 
     indices: tuple[int, ...]
     status: str
     nodes: int = 0
     bound: Optional[int] = None
+    covers: int = 0
 
     @property
     def size(self) -> int:
@@ -102,37 +111,49 @@ def _components(neighbors: Sequence[int], n: int) -> list[int]:
     return comps
 
 
-def _clique_cover(candidates: int, neighbors, skip: int) -> list[tuple[int, int]]:
+# Cover vertices one component search keeps, each cover counted _COVER_KEEP
+# more for its key and containers (a few hundred bytes): past _COVER_CAP the
+# search drops them all, so memory stays bounded whatever the node count.
+_COVER_CAP = 1 << 20
+_COVER_KEEP = 64
+
+
+def _compact(n: int):
+    """The most compact of bytes and int arrays that holds 0 to n, as a
+    function of a list of those ints."""
+    if n < 1 << 8:
+        return bytes
+    # imported only here: loading the module adds about 0.1 MB to the peak
+    # resident size of a process that never needs it
+    from array import array
+
+    return partial(array, "H" if n < 1 << 16 else "I")
+
+
+def _clique_cover(candidates: int, neighbors, pack):
     """Greedily cover candidates with cliques, lowest index first.
 
-    Returns (vertex, cover index) pairs in cover order for the cliques past
-    the first ``skip``; those are built only to take their vertices out.
-    Any independent set takes at most one vertex per clique, so the
-    candidates up to a vertex hold no independent set larger than that
-    vertex's cover index.
+    Returns the vertices in cover order and the offset of each clique's
+    first vertex followed by the vertex count, each packed by ``pack`` (see
+    _compact): clique j, from 1, is verts[starts[j - 1]:starts[j]].  Any independent set takes at most
+    one vertex per clique, so the candidates up to a vertex of clique j
+    hold no independent set larger than j.
     """
-    count = 0
+    verts = []
+    starts = [0]
     rest = candidates
     # each clique grows inside rest and no vertex neighbors itself, so every
     # bit taken is still in rest and ^= clears it
-    while rest and count < skip:
-        count += 1
-        grow = rest
-        while grow:
-            bit = grow & -grow
-            rest ^= bit
-            grow &= neighbors[bit.bit_length() - 1]
-    cover = []
     while rest:
-        count += 1
         grow = rest
         while grow:
             bit = grow & -grow
             u = bit.bit_length() - 1
-            cover.append((u, count))
+            verts.append(u)
             rest ^= bit
             grow &= neighbors[u]
-    return cover
+        starts.append(len(verts))
+    return pack(verts), pack(starts)
 
 
 def _greedy_seed(neighbors, comp: int) -> list[int]:
@@ -148,14 +169,11 @@ def _greedy_seed(neighbors, comp: int) -> list[int]:
     return taken
 
 
-def _mis_component(neighbors, comp: int, budget: _Budget) -> tuple[list[int], int]:
-    """A maximum independent set of one component, or the best within
-    budget, and the root node's clique cover count, built whether or not
-    the budget expands the root: no independent set of comp is larger."""
-    if not comp & (comp - 1):
-        # a lone vertex: its root node is the whole search
-        budget.tick()
-        return [comp.bit_length() - 1], 1
+def _mis_component(neighbors, comp: int, budget: _Budget) -> tuple[list[int], int, int]:
+    """A maximum independent set of a component of two or more vertices, or
+    the best within budget; the root node's clique cover count, built
+    whether or not the budget expands the root, so no independent set of
+    comp is larger; and the number of covers built."""
     # renumber by ascending degree (ties by index): low-degree vertices
     # open the cliques and the greedy incumbent
     order = []
@@ -169,47 +187,72 @@ def _mis_component(neighbors, comp: int, budget: _Budget) -> tuple[list[int], in
     # lets the very first bound checks prune
     full = (1 << len(order)) - 1
     best = _greedy_seed(local, full)
-    # the root's cover ticks no budget, so any budget gets its bound; an
-    # empty list means a cover of len(best) cliques, no fewer than best needs
-    branches = _clique_cover(full, local, len(best))
-    bound = branches[-1][1] if branches else len(best)
+    # a cover depends on the candidate set alone, so each distinct set is
+    # covered once; the root's cover ticks no budget, so any budget gets its
+    # bound
+    pack = _compact(len(order))
+    verts, starts = cover = _clique_cover(full, local, pack)
+    covers = {full: cover}
+    stored = len(verts) + _COVER_KEEP
+    built = 1
+    bound = len(starts) - 1
     if not budget.tick():
-        return [order[v] for v in best], bound
-    # one frame per search node: [candidates left, (vertex, cover index)
-    # pairs not yet branched on]; current holds one vertex per child frame.
-    # A frame's cover leaves out its first len(best) - len(current) cliques:
-    # within the frame len(current) is fixed and len(best) only grows, so an
-    # entry with a cover index that low fails the bound check below whenever
-    # it is last.  Entries come in non-decreasing index order and are popped
-    # from the end, so the frame exits at the same pop with or without them,
-    # and the search expands the same nodes.
-    stack = [[full, branches]]
+        return [order[v] for v in best], bound, built
+    # The node on top: the candidates left and its cover, whose entries
+    # below pos are not yet branched on; the stack holds the nodes above
+    # it, and current one vertex per stacked node.  A node branches, last
+    # entry first, only on the cliques past its skip, len(best) -
+    # len(current): on a vertex of clique j <= skip, current plus one vertex
+    # per clique up to j is no larger than best.  Its first such entry is
+    # stop, read again whenever the node or best changes.
+    candidates, pos = full, len(verts)
+    stop = _first_past(starts, len(best), pos)
+    stack = []
     current: list[int] = []
-    while stack:
-        frame = stack[-1]
-        candidates, branches = frame
-        if branches is None:
-            if not budget.tick():
-                break
-            branches = frame[1] = _clique_cover(
-                candidates, local, len(best) - len(current)
-            )
-        if branches and len(current) + branches[-1][1] > len(best):
-            v, _ = branches.pop()
-            bit = 1 << v
-            frame[0] = candidates & ~bit
-            child = candidates & ~local[v] & ~bit
-            current.append(v)
+    while True:
+        if pos > stop:
+            pos -= 1
+            v = verts[pos]
+            # v is a candidate not yet branched on, so ^= clears it
+            candidates ^= 1 << v
+            child = candidates & ~local[v]
             if child:
-                stack.append([child, None])
+                if not budget.tick():
+                    break
+                stack.append((candidates, verts, starts, pos))
+                current.append(v)
+                cover = covers.get(child)
+                if cover is None:
+                    cover = _clique_cover(child, local, pack)
+                    built += 1
+                    size = len(cover[0]) + _COVER_KEEP
+                    stored += size
+                    if stored > _COVER_CAP:
+                        covers.clear()
+                        stored = size
+                    covers[child] = cover
+                verts, starts = cover
+                candidates, pos = child, len(verts)
+            elif len(current) < len(best):
                 continue
-            if len(current) > len(best):
-                best = current[:]
-        else:
-            stack.pop()
-        if current:
+            else:
+                best = current + [v]
+        elif stack:
+            candidates, verts, starts, pos = stack.pop()
             current.pop()
-    return [order[v] for v in best], bound
+        else:
+            break
+        stop = _first_past(starts, len(best) - len(current), pos)
+    return [order[v] for v in best], bound, built
+
+
+def _first_past(starts, skip: int, pos: int) -> int:
+    """Where a node with ``pos`` cover entries left stops branching: at the
+    first entry past clique ``skip``, which is the first entry when skip is
+    negative, and at pos, trying none, once skip reaches the clique count."""
+    if skip < 0:
+        return 0
+    return starts[skip] if skip < len(starts) else pos
 
 
 def _renumber(neighbors, order: list[int], width: int) -> list[int]:
@@ -219,13 +262,16 @@ def _renumber(neighbors, order: list[int], width: int) -> list[int]:
     every neighbor of a vertex in order must itself be in order and below
     bit ``width``.
     """
-    size = -(-width // 8)
+    n = len(order)
+    # a spare byte: bit ``width`` is clear in every row, and pads the rows
+    # of the renumbered masks to whole bytes, so one pack serves them all
+    size = width // 8 + 1
     rows = np.frombuffer(
         b"".join(neighbors[v].to_bytes(size, "little") for v in order), dtype=np.uint8
-    ).reshape(len(order), size)
-    bits = np.unpackbits(rows, axis=1, bitorder="little")[:, order]
-    packed = np.packbits(bits, axis=1, bitorder="little")
-    return [int.from_bytes(row.tobytes(), "little") for row in packed]
+    ).reshape(n, size)
+    padded = -(-n // 8) * 8
+    columns = order + [width] * (padded - n)
+    return _row_masks(np.unpackbits(rows, axis=1, bitorder="little")[:, columns], padded)
 
 
 def max_independent_set(
@@ -239,10 +285,11 @@ def max_independent_set(
     by ascending degree.  At every search node one greedy clique cover of
     the candidate set bounds every branch: the search branches on vertices
     in reverse cover order and stops once the current set plus the vertex's
-    cover index cannot beat the incumbent.  The first cliques, as many as
-    the incumbent is larger than the current set, can never pass that test,
-    so their vertices are never listed.  A component of one vertex counts
-    one node and is taken as it is.  Among equal-size solutions the
+    cover index cannot beat the incumbent, so it never tries the first
+    cliques, as many as the incumbent is larger than the current set.  Each
+    distinct candidate set of a component is covered once (``covers``
+    counts them).  A component of one vertex counts one node and is taken
+    as it is.  Among equal-size solutions the
     first one reached is kept, so unless the time budget runs out the result
     depends only on the graph and the node budget.  Budget exhaustion is
     reported as a status, not an error; ``nodes`` counts the nodes expanded,
@@ -251,13 +298,22 @@ def max_independent_set(
     """
     budget = _Budget(node_budget, time_budget)
     chosen: list[int] = []
-    bound = 0
+    bound = covers = 0
     for comp in _components(graph.neighbors, graph.n):
-        found, cap = _mis_component(graph.neighbors, comp, budget)
-        chosen.extend(found)
-        bound += cap
+        if comp & (comp - 1):
+            found, cap, built = _mis_component(graph.neighbors, comp, budget)
+            chosen.extend(found)
+            bound += cap
+            covers += built
+        else:
+            # a lone vertex: its root node is the whole search, and its
+            # cover one clique
+            budget.tick()
+            chosen.append(comp.bit_length() - 1)
+            bound += 1
+            covers += 1
     status = BUDGET_EXCEEDED if budget.exhausted else EXACT
-    return MisResult(tuple(sorted(chosen)), status, budget.nodes, bound)
+    return MisResult(tuple(sorted(chosen)), status, budget.nodes, bound, covers)
 
 
 @dataclass(frozen=True)

@@ -12,9 +12,12 @@ from driftppm.distinguish import (
     indistinguishable,
     scan_pairs,
 )
+import reference_oracle
 from reference_constructions import ratio_vector
 
 UNBOUNDED = ChannelSpec(1, INFINITY)
+# xi's numerator squared is past the int64 guard: the scalar kernel runs
+PAST_GUARD = ChannelSpec(F(2**31 + 1, 2**31), F(3, 2))
 
 
 # Closed-form oracles for the three solved special cases.  These exist only
@@ -141,12 +144,34 @@ class TestConfusionGraph:
         assert graph.n == 1 and graph.edge_count == 0
 
     def test_rejects_duplicates(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^duplicate inputs$"):
             confusion_graph([(1, 1), (1, 1)], UNBOUNDED)
 
     def test_rejects_mixed_k(self):
-        with pytest.raises(ValueError):
-            confusion_graph([(1, 1), (1, 1, 1)], UNBOUNDED)
+        # checked before duplicates, wherever the odd length sits
+        cases = [(1, 1), (1, 1, 1)], [(1, 2, 3), (2,), (1, 2, 3)], [(1, 1), (1, 1), (2,)]
+        for inputs in cases:
+            with pytest.raises(
+                ValueError, match="^all inputs must have the same number of runs$"
+            ):
+                confusion_graph(inputs, UNBOUNDED)
+
+    @given(
+        st.integers(1, 3),
+        st.sampled_from([0, 1, 7, 8, 9]),
+        st.sampled_from([UNBOUNDED, ChannelSpec(F(3, 2), F(7, 4)), PAST_GUARD]),
+        st.data(),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_masks_match_reference(self, k, n, spec, data):
+        # rows of 0, 1 and 2 bytes, one of them partly filled; runs up to
+        # 12 put PAST_GUARD's products over the int64 guard
+        word = st.tuples(*[st.integers(1, 12)] * k)
+        inputs = data.draw(st.lists(word, min_size=n, max_size=n, unique=True))
+        if n and spec is PAST_GUARD:
+            assert scan_pairs(inputs, spec).kernel == "scalar"
+        graph = confusion_graph(inputs, spec)
+        assert graph.neighbors == reference_oracle.confusion_graph(inputs, spec).neighbors
 
     @pytest.mark.parametrize(
         "spec",

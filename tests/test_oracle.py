@@ -14,11 +14,16 @@ from driftppm.constructions import (
     code_jitter_bounded_drift,
     code_jitter_unbounded_drift,
 )
+from driftppm import oracle
 from driftppm.distinguish import ConfusionGraph, confusion_graph
 from driftppm.oracle import (
     BUDGET_EXCEEDED,
     EXACT,
+    _clique_cover,
+    _compact,
     _components,
+    _first_past,
+    _renumber,
     max_independent_set,
     optimal_code_bruteforce,
     ZeroErrorReport,
@@ -220,6 +225,21 @@ class TestSameTreeAsReference:
             assert as_reference(res) == reference_oracle.max_independent_set(g)
 
 
+class TestRenumber:
+    @given(st.one_of(split_graphs(), small_graphs()), st.randoms())
+    @settings(max_examples=150, deadline=None)
+    def test_masks_over_positions(self, g, rnd):
+        # each component in a shuffled order: bit r of mask i is set iff
+        # order[i] and order[r] are adjacent, and no bit past the component
+        for comp in _components(g.neighbors, g.n):
+            order = [v for v in range(g.n) if comp >> v & 1]
+            rnd.shuffle(order)
+            expected = [
+                sum(1 << r for r, u in enumerate(order) if g.has_edge(v, u)) for v in order
+            ]
+            assert _renumber(g.neighbors, order, comp.bit_length()) == expected
+
+
 class TestComponents:
     @given(st.one_of(split_graphs(), small_graphs()))
     @settings(max_examples=200, deadline=None)
@@ -229,6 +249,93 @@ class TestComponents:
         comps = _components(g.neighbors, g.n)
         assert comps == reference_oracle.components(g.neighbors, g.n)
         assert sum(comps) == (1 << g.n) - 1
+
+
+class TestCoverReuse:
+    """One cover per distinct candidate set, each node reading the cliques
+    past its skip, against the reference cover of every candidate."""
+
+    @given(st.one_of(small_graphs(), split_graphs()), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_entries_past_every_skip_match_reference(self, g, data):
+        candidates = data.draw(st.integers(0, (1 << g.n) - 1))
+        verts, starts = _clique_cover(candidates, g.neighbors, _compact(g.n))
+        cliques = len(starts) - 1
+        entries = [
+            (v, j) for j in range(1, cliques + 1) for v in verts[starts[j - 1] : starts[j]]
+        ]
+        assert entries == reference_oracle.clique_cover(candidates, g.neighbors)
+        # a node with pos entries left tries those of cover index above its skip
+        for skip in range(-1, cliques + 2):
+            for pos in range(len(verts) + 1):
+                stop = _first_past(starts, skip, pos)
+                assert entries[stop:pos] == [e for e in entries[:pos] if e[1] > skip]
+
+    @pytest.mark.parametrize(
+        "n, typecode", [(2, None), (255, None), (256, "H"), (65_535, "H"), (65_536, "I")]
+    )
+    def test_compact_holds_every_vertex_and_start(self, n, typecode):
+        # bytes up to 255 vertices, then int arrays
+        packed = _compact(n)([0, n - 1, n])
+        assert list(packed) == [0, n - 1, n]
+        assert getattr(packed, "typecode", None) == typecode
+
+    @given(split_graphs())
+    @settings(max_examples=100, deadline=None)
+    def test_covers_counts_distinct_candidate_sets(self, g):
+        # the reference covers every expanded node; count the distinct
+        # candidate sets of each of its component searches
+        seen = []
+        mis_component = reference_oracle.mis_component
+        clique_cover = reference_oracle.clique_cover
+
+        def per_component(neighbors, comp, budget):
+            seen.append(set())
+            return mis_component(neighbors, comp, budget)
+
+        def recorded(candidates, neighbors):
+            seen[-1].add(candidates)
+            return clique_cover(candidates, neighbors)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(reference_oracle, "mis_component", per_component)
+            mp.setattr(reference_oracle, "clique_cover", recorded)
+            expected = reference_oracle.max_independent_set(g)
+        res = max_independent_set(g)
+        assert as_reference(res) == expected
+        assert res.covers == sum(map(len, seen)) <= res.nodes
+
+    @given(split_graphs())
+    @settings(max_examples=100, deadline=None)
+    def test_dropping_every_cover_keeps_the_tree(self, g):
+        with pytest.MonkeyPatch.context() as mp:
+            # every cover built drops all those kept before it
+            mp.setattr(oracle, "_COVER_CAP", 1)
+            expected = reference_oracle.max_independent_set(g)
+            assert as_reference(max_independent_set(g)) == expected
+            for budget in range(expected[2] + 2):
+                res = max_independent_set(g, node_budget=budget)
+                assert as_reference(res) == reference_oracle.max_independent_set(
+                    g, node_budget=budget
+                )
+
+    def test_dropping_every_cover_keeps_benchmark_trees(self, oracle_instances, monkeypatch):
+        graphs = [
+            confusion_graph(enumerate_inputs(k, m), ChannelSpec(xi, gamma))
+            for k, m, xi, gamma, _ in oracle_instances
+        ]
+        kept = [max_independent_set(g).covers for g in graphs]
+        monkeypatch.setattr(oracle, "_COVER_CAP", 1)
+        dropped = []
+        for g, (*_, size) in zip(graphs, oracle_instances):
+            res = max_independent_set(g)
+            assert (res.size, res.status) == (size, EXACT)
+            assert as_reference(res) == reference_oracle.max_independent_set(g)
+            # each node builds one cover at most
+            assert res.covers <= res.nodes
+            dropped.append(res.covers)
+        # a cover dropped is built again when its candidate set comes back
+        assert all(d >= k for d, k in zip(dropped, kept)) and sum(dropped) > sum(kept)
 
 
 class TestRootBound:
@@ -251,6 +358,10 @@ class TestRootBound:
         res = max_independent_set(g, node_budget=10)
         assert (res.status, res.nodes, res.size, res.bound) == (BUDGET_EXCEEDED, 10, 198, 237)
 
+    # the covers built by the pinned searches below, one per distinct
+    # candidate set: 277 for 856 nodes, 1 659 for 19 735
+    PINNED_COVERS = {18: 277, 22: 1_659}
+
     @pytest.mark.parametrize(
         "m, nodes, size, bound", [(18, 856, 13, 14), (22, 19_735, 14, 16)]
     )
@@ -258,6 +369,7 @@ class TestRootBound:
         g = confusion_graph(enumerate_inputs(2, m), ChannelSpec(F(3, 2), F(7, 4)))
         res = max_independent_set(g)
         assert (res.nodes, res.size, res.bound) == (nodes, size, bound)
+        assert res.covers == self.PINNED_COVERS[m]
         # the bound is read at the root, so any budget that expands it agrees
         assert max_independent_set(g, node_budget=1).bound == bound
 
