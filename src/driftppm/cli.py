@@ -4,7 +4,9 @@ Subcommands: construct, sweep, simulate, verify, oracle.  Exit codes:
 0 success, 1 usage error, 2 verification or simulation failure,
 3 oracle budget exceeded.  All parameters are parsed as exact ratios
 ("7/4", "1.03", "inf"); CSV and codebook outputs are byte-stable across
-runs and platforms.
+runs and platforms.  construct builds a codebook only to write it to
+--out; without --out it counts the code (count_code, as sweep does), with
+the same refusals, the same size guard and the same output line.
 """
 
 from __future__ import annotations
@@ -167,10 +169,15 @@ def _parse_grid(text: str, parse_one):
 
 
 def _cmd_construct(args) -> int:
-    codebook = construct(args.k, args.M, args.xi, args.gamma, args.regime)
     if args.out:
+        codebook = construct(args.k, args.M, args.xi, args.gamma, args.regime)
         dump_codebook(codebook, args.out)
-    print(f"size={len(codebook)} rate={rate_bits(codebook):.4f}")
+        size, rate = len(codebook), rate_bits(codebook)
+    else:
+        # the size alone: counted, with construct's refusals, and not built
+        size = count_code(args.k, args.M, args.xi, args.gamma, args.regime)
+        rate = _size_bits(size)
+    print(f"size={size} rate={rate:.4f}")
     return EXIT_OK
 
 

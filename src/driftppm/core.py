@@ -42,7 +42,6 @@ __all__ = [
     "ChannelSpec",
     "Codebook",
     "check_run_vector",
-    "format_run_vector",
     "enumerate_inputs",
     "MAX_INPUTS",
     "rate_bits",
@@ -203,10 +202,6 @@ def check_run_vector(runs: Sequence[int], m: int) -> Runs:
     if sum(runs) > m:
         raise ValueError(f"runs {runs} sum to {sum(runs)} > frame size {m}")
     return runs
-
-
-def format_run_vector(runs: Sequence[int]) -> str:
-    return " ".join(map(str, runs))
 
 
 @dataclass(frozen=True)

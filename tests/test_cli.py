@@ -1,15 +1,16 @@
 import hashlib
 import importlib
+import itertools
 import time
 from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
 
-from driftppm import cli, core
+from driftppm import cli, constructions, core
 from driftppm.cli import main
 from driftppm.codebook_io import dump_codebook, load_codebook
-from driftppm.constructions import code_bounded_drift
+from driftppm.constructions import _CONSTRUCTED, AUTO_REGIME, code_bounded_drift
 from driftppm.core import INFINITY, ChannelSpec, Codebook, enumerate_inputs
 from reference_constructions import best_achievable_rate, sweep_rows
 from test_cli_fuzz import BAD_GRIDS, GRIDS
@@ -652,6 +653,90 @@ class TestInputSizeGuard:
         assert err == (
             "error: k=1, M=100000000 has >= 2000001 inputs, "
             "more than the 2000000 that can be enumerated\n"
+        )
+
+
+class TestConstructCounts:
+    """construct without --out counts the code; with --out it builds it.
+    Both must print the same line and refuse the same inputs alike."""
+
+    GRID_K = ("0", "1", "2", "3", "4", "40")
+    GRID_M = ("0", "1", "2", "5", "16", "40")
+    GRID_XI = ("1", "21/20", "3/2", "1.000001")
+    GRID_GAMMA = ("1", "7/4", "inf")
+    REGIMES = (AUTO_REGIME, *_CONSTRUCTED)
+
+    def outcomes(self, capsys, out_path, argv):
+        counted = run(capsys, *argv)
+        built = run(capsys, *argv, "--out", str(out_path))
+        return counted, built
+
+    @pytest.mark.parametrize("regime", REGIMES)
+    def test_same_output_as_the_build(self, capsys, tmp_path, regime):
+        # every refusal is on this grid: k=1 under unbounded drift, k >= 3
+        # jitter with drift, empty domains (k=0, M < k) and frames the
+        # regime does not serve
+        codes = set()
+        for k, m, xi, gamma in itertools.product(
+            self.GRID_K, self.GRID_M, self.GRID_XI, self.GRID_GAMMA
+        ):
+            argv = ("construct", "--k", k, "--M", m, "--xi", xi, "--gamma", gamma,
+                    "--regime", regime)
+            counted, built = self.outcomes(capsys, tmp_path / "book.code", argv)
+            assert counted == built, argv
+            codes.add(counted[0])
+        assert codes <= {0, 1}
+
+    @pytest.mark.parametrize("regime", REGIMES)
+    def test_same_size_guard_as_the_build(self, capsys, monkeypatch, tmp_path, regime):
+        # a small limit puts the size guard inside the grid for every
+        # builder: C(M, k) inputs, jitter prefixes, bases and chain words
+        monkeypatch.setattr(core, "MAX_INPUTS", 100)
+        refused = 0
+        for k, m, xi, gamma in itertools.product(
+            ("1", "2", "3"), ("16", "40"), self.GRID_XI, self.GRID_GAMMA
+        ):
+            argv = ("construct", "--k", k, "--M", m, "--xi", xi, "--gamma", gamma,
+                    "--regime", regime)
+            counted, built = self.outcomes(capsys, tmp_path / "book.code", argv)
+            assert counted == built, argv
+            refused += "more than the 100 that can be enumerated" in counted[2]
+        assert refused > 0
+
+    def test_no_builder_runs(self, capsys, monkeypatch, tmp_path):
+        calls = [
+            ("--k", "2", "--M", "65", "--gamma", "7/4"),
+            ("--k", "3", "--M", "20"),
+            ("--k", "3", "--M", "30", "--xi", "21/20", "--gamma", "1"),
+            ("--k", "2", "--M", "65", "--xi", "21/20"),
+            ("--k", "2", "--M", "65", "--xi", "21/20", "--gamma", "7/4"),
+            ("--k", "3", "--M", "12", "--xi", "1", "--gamma", "1",
+             "--regime", "perfect-sync"),
+        ]
+        built = [run(capsys, "construct", *argv, "--out", str(tmp_path / "book.code"))
+                 for argv in calls]
+
+        def refuse(*args):
+            raise AssertionError("a builder ran")
+
+        for name in ("code_gcd", "code_bounded_drift", "code_jitter",
+                     "code_jitter_unbounded_drift", "code_jitter_bounded_drift",
+                     "perfect_sync_code", "_run_vectors"):
+            monkeypatch.setattr(constructions, name, refuse)
+        monkeypatch.setattr(core, "_run_vectors", refuse)
+        counted = [run(capsys, "construct", *argv) for argv in calls]
+        assert counted == built
+        assert counted[0] == (0, "size=1736 rate=10.7616\n", "")
+
+    def test_out_path_keeps_the_rate_of_the_book(self, capsys, monkeypatch, tmp_path):
+        # the --out line reads the built book through cli.rate_bits, the
+        # name that bench/test_bench.py's fault injection patches
+        monkeypatch.setattr(cli, "rate_bits", lambda book: 0.0)
+        path = tmp_path / "book.code"
+        assert run(capsys, "construct", "--k", "2", "--M", "65", "--gamma", "7/4",
+                   "--out", str(path)) == (0, "size=1736 rate=0.0000\n", "")
+        assert run(capsys, "construct", "--k", "2", "--M", "65", "--gamma", "7/4") == (
+            0, "size=1736 rate=10.7616\n", ""
         )
 
 
